@@ -2,9 +2,10 @@
 
 The likelihood equations say the fitted expected degrees must reproduce the
 observed ones, i.e. the moment residual ``F`` vanishes at the MLE.  Newton
-iterates solve the structured Fisher system exactly (Schur complement) or
-take the cheap approximate-inverse step; both drive ``F`` to zero whenever
-the MLE exists.
+iterates solve the structured Fisher system exactly (conjugate gradients
+preconditioned by the approximate inverse, O(n^2) per step) or take the
+cheap approximate-inverse step; both drive ``F`` to zero whenever the MLE
+exists.
 
 The MLE exists iff the observed bi-degree sequence lies in the interior of
 the mean polytope, and is then unique.  Interior membership has no practical
@@ -68,8 +69,11 @@ class Feasibility(enum.Enum):
 class FitConfig:
     """Solver knobs.  ``tol_residual=None`` means ``1e-10 * (n - 1)``.
 
-    ``step_mode`` is "exact" (structured solve) or "sapprox" (approximate
-    inverse step, optionally polished by one exact solve at the end).
+    ``step_mode`` is "exact" (the Fisher system solved to 1e-13 relative
+    residual by conjugate gradients preconditioned by the approximate
+    inverse, O(n^2) per step) or "sapprox" (relaxed approximate inverse
+    step, O(n) per step after the O(n^2) Fisher build, optionally polished
+    by one exact solve at the end).
     """
 
     step_mode: str = "exact"

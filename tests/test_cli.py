@@ -276,15 +276,23 @@ class TestUsage:
         assert main([]) == EXIT_USAGE
 
     def test_console_script_entry_point(self, tmp_path):
+        import os
         import subprocess
         import sys
+        from pathlib import Path
 
+        import bidegree
+
+        # the child imports the same package as this test, installed or not
+        package_root = str(Path(bidegree.__file__).resolve().parent.parent)
+        pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         path = tmp_path / "e.csv"
         path.write_text("1,2,1\n2,3,1\n3,1,1\n")
         result = subprocess.run(
             [sys.executable, "-m", "bidegree.cli", "fit", str(path), "--family", "binary"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
         )
         assert result.returncode == EXIT_OK
         assert '"existence": "exists"' in result.stdout

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,13 +25,15 @@ from bidegree.sampler import SimDesign, design_params
 BINARY = WeightFamily.binary()
 EXPONENTIAL = WeightFamily.exponential()
 GEOMETRIC = WeightFamily.geometric()
+FINITE4 = WeightFamily.finite(4)
 
 
-def random_fisher(n, seed):
+def random_fisher(n, seed, family=GEOMETRIC, low=0.5, high=1.0):
+    """Fisher matrix at effects drawn uniformly from [low, high), beta[-1] = 0."""
     rng = np.random.default_rng(seed)
-    alpha = rng.uniform(0.5, 1.0, n)
-    beta = np.append(rng.uniform(0.5, 1.0, n - 1), 0.0)
-    return fisher_info(ParamVector(alpha, beta, negated=True), GEOMETRIC)
+    alpha = rng.uniform(low, high, n)
+    beta = np.append(rng.uniform(low, high, n - 1), 0.0)
+    return fisher_info(ParamVector(alpha, beta, negated=family.negated), family)
 
 
 def synthetic_fisher(cross):
@@ -188,6 +191,66 @@ class TestSolveStructured:
     def test_rhs_length_checked(self):
         with pytest.raises(ValueError):
             solve_structured(random_fisher(5, 1), np.zeros(5))
+
+    @pytest.mark.parametrize(
+        "rhs", [[0.25, 0.25, 0.25], [1.0, 0.5, 0.2]], ids=["consistent", "inconsistent"]
+    )
+    def test_singular_two_vertex_fisher_raises(self, rhs):
+        # n=2 leaves three free parameters that are not identifiable; the
+        # solve must refuse rather than return one of many solutions or
+        # overflow on an inconsistent right-hand side
+        fisher = fisher_info(ParamVector(np.zeros(2), np.zeros(2)), BINARY)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularFisherError):
+                solve_structured(fisher, np.array(rhs))
+
+    def test_zero_rhs_gives_zero(self):
+        assert np.all(solve_structured(random_fisher(6, 3), np.zeros(11)) == 0.0)
+
+    @given(
+        family=st.sampled_from([BINARY, EXPONENTIAL, GEOMETRIC, FINITE4]),
+        n=st.integers(3, 60),
+        width=st.sampled_from([0.5, 2.0, 5.0, 10.0, 15.0]),
+        ramp=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_oracle(self, family, n, width, ramp, seed):
+        # effects in [low, low + width]: positive for the rate families,
+        # centred for the others
+        low = 0.05 if family.positive_pair_sums else -width / 2
+        if ramp:
+            effects = low + width * np.linspace(0.0, 1.0, n)
+            fisher = fisher_info(ParamVector(effects, effects, negated=family.negated), family)
+        else:
+            fisher = random_fisher(n, seed, family, low, low + width)
+        rhs = np.random.default_rng(seed).normal(size=2 * n - 1)
+        dense = materialize(fisher)
+        expected = np.linalg.solve(dense, rhs)
+        got = solve_structured(fisher, rhs)
+        # wide ramps at small n reach condition numbers ~1e9, where both
+        # solves carry forward errors ~cond * eps
+        rtol = 1000 * np.finfo(float).eps * np.linalg.cond(dense)
+        assert np.abs(got - expected).max() <= rtol * np.abs(expected).max()
+
+    def test_matches_dense_oracle_on_wide_geometric_ramp(self):
+        # pair sums spread over [0.05, 30]: the smallest edge variance is
+        # ~1e-13 and V has condition number ~3e10, as ill-conditioned as the
+        # fits that march to the divergence bound.  At that conditioning the
+        # dense LU solve itself is only accurate to ~1e-8 relative.
+        n = 300
+        ramp = np.linspace(0.025, 15.0, n)
+        theta = ParamVector(ramp + ramp[-1], ramp - ramp[-1], negated=True)
+        sums = theta.pair_sums()
+        assert sums.min() == pytest.approx(0.05) and sums.max() == pytest.approx(30.0)
+        fisher = fisher_info(theta, GEOMETRIC)
+        rng = np.random.default_rng(300)
+        for _ in range(3):
+            rhs = rng.normal(size=2 * n - 1)
+            expected = np.linalg.solve(materialize(fisher), rhs)
+            got = solve_structured(fisher, rhs)
+            assert np.abs(got - expected).max() <= 1e-6 * np.abs(expected).max()
 
 
 class TestApproxError:

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import bidegree.solver
+from bidegree.fisher import dense_inverse
 from bidegree.model import (
     BiDegree,
     InvalidParameterError,
@@ -11,7 +13,7 @@ from bidegree.model import (
     bi_degrees,
     expected_degrees,
 )
-from bidegree.sampler import SimDesign, derive_seed, design_params, sample_graph
+from bidegree.sampler import SimDesign, derive_seed, design_params, ramp_magnitude, sample_graph
 from bidegree.solver import (
     Existence,
     Feasibility,
@@ -216,6 +218,27 @@ class TestNewtonFit:
                     result = newton_fit(g, family, theta0=start)
                 assert result.converged
                 assert np.abs(result.theta_hat.free - reference.theta_hat.free).max() < 1e-6
+
+    @pytest.mark.parametrize(
+        "family, n, rule, seeds",
+        [(BINARY, 150, "loglog", (0, 1, 2)), (GEOMETRIC, 200, "sqrtlog", (0, 1, 5, 6))],
+        ids=["binary-n150-loglog", "geometric-n200-sqrtlog"],
+    )
+    def test_step_solve_matches_dense_oracle_fit_by_fit(self, monkeypatch, family, n, rule, seeds):
+        # The geometric cases include fits that march to the divergence
+        # bound; comparing with the dense solve pins the step solve without
+        # pinning those verdicts to fixed values.
+        design = design_params(SimDesign(family, n, ramp_magnitude(rule, n)))
+        graphs = [bi_degrees(sample_graph(design, family, derive_seed(8, s))) for s in seeds]
+        fast = [newton_fit(g, family) for g in graphs]
+        monkeypatch.setattr(
+            bidegree.solver, "solve_structured", lambda fisher, rhs: dense_inverse(fisher) @ rhs
+        )
+        dense = [newton_fit(g, family) for g in graphs]
+        for a, b in zip(fast, dense):
+            assert a.existence is b.existence
+            assert a.iterations == b.iterations
+            assert np.abs(a.theta_hat.free - b.theta_hat.free).max() <= 1e-10
 
 
 class TestNewtonDiagnostics:
