@@ -24,9 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .model import ParamVector, WeightFamily, edge_variance, validate_params
+from .model import ParamVector, WeightFamily, _pair_moments, validate_params
 
 __all__ = [
     "ApproxError",
@@ -111,17 +110,18 @@ def fisher_info(theta: ParamVector, family: WeightFamily) -> StructuredFisher:
     matrix is positive for every family.
     """
     validate_params(theta, family)
-    sums = theta.pair_sums()
-    np.fill_diagonal(sums, 1.0)
-    cross = edge_variance(family, sums)
+    _, cross = _pair_moments(theta, family, var=True)
+    row_sums = cross.sum(axis=1)
+    col_sums = cross.sum(axis=0)
+    np.fill_diagonal(cross, np.inf)  # keep the zero diagonal out of the minimum
+    cross_min = float(cross.min())
     np.fill_diagonal(cross, 0.0)
-    off = cross[~np.eye(theta.n, dtype=bool)]
     return StructuredFisher(
         cross=cross,
-        row_sums=cross.sum(axis=1),
-        col_sums=cross.sum(axis=0),
-        cross_min=float(off.min()),
-        cross_max=float(off.max()),
+        row_sums=row_sums,
+        col_sums=col_sums,
+        cross_min=cross_min,
+        cross_max=float(cross.max()),
     )
 
 
@@ -168,6 +168,10 @@ def materialize_approx(approx: ApproxInverse) -> np.ndarray:
 
 def dense_inverse(fisher: StructuredFisher) -> np.ndarray:
     """Exact inverse through a Cholesky factorization of the dense matrix."""
+    # Imported here: only the test oracle and approx_error factor dense
+    # matrices, and scipy.linalg is most of the package's import time.
+    import scipy.linalg
+
     full = materialize(fisher)
     try:
         factor = scipy.linalg.cho_factor(full, lower=True)

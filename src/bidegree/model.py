@@ -15,8 +15,16 @@ supported:
 * ``finite`` -- counts on ``{0, ..., q-1}``; stored negated, any real ``s``
   (the pmf is a truncated geometric, uniform at ``s = 0``).
 
-Everything here is a pure function of immutable values; nothing mutates
-after construction, so all objects are safe to share across threads.
+Each family's edge mean and variance come from one kernel that makes at most
+one exponential pass per edge and never builds an n x n x q tensor: the
+binary family takes ``t = exp(-s)``, as the n^2 product
+``exp(-alpha_i) * exp(-beta_j)`` on whole graphs; ``finite:q`` sums powers of
+``t = exp(-|s|)`` and mirrors the pmf where ``s < 0``; geometric takes one
+``expm1``; exponential is ``1/s``.  The Fisher build, the moment residual,
+the sampler, the finite warm start and the finite log-partition all run it.
+
+Every public function here is a pure function of immutable values; nothing
+mutates after construction, so all objects are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -233,27 +241,76 @@ class Graph:
 
 # ---------------------------------------------------------------------------
 # per-edge quantities
+#
+# ``_edge_moments`` is the one kernel for means and variances.  The
+# whole-graph functions below call it through ``_pair_moments``; the public
+# per-edge functions call it directly.
+
+# Binary pair sums up to this size in absolute value keep exp(-s) finite and
+# normal, so exp(-alpha_i) * exp(-beta_j) can stand in for exp(-s) without
+# overflow, underflow or an inf * 0 product.
+_EXP_SAFE = 700.0
 
 
-def _sigmoid(s: np.ndarray) -> np.ndarray:
-    out = np.empty_like(s)
-    pos = s >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
-    es = np.exp(s[~pos])
-    out[~pos] = es / (1.0 + es)
-    return out
+def _power_sums(q: int, t: np.ndarray, order: int) -> list[np.ndarray]:
+    """``[sum_k k**r * t**k for r in 0..order]`` over the support ``k = 0..q-1``.
+
+    Divided by the first entry (the normalizer ``Z``) they are the raw moments
+    of the q-point pmf ``t**k / Z``.  Callers pass ``t = exp(-|s|)`` in [0, 1];
+    Horner's rule then adds only positive terms and nothing can overflow.
+    """
+    sums = []
+    for r in range(order + 1):
+        acc = t * float((q - 1) ** r)
+        for k in range(q - 2, 0, -1):
+            acc += float(k**r)
+            acc *= t
+        if r == 0:
+            acc += 1.0
+        sums.append(acc)
+    return sums
 
 
-def _finite_moments(q: int, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and variance of the q-point family from its exact pmf."""
-    support = np.arange(q, dtype=float)
-    logits = -s[..., None] * support
-    logits -= logits.max(axis=-1, keepdims=True)
-    w = np.exp(logits)
-    p = w / w.sum(axis=-1, keepdims=True)
-    mean = p @ support
-    var = p @ support**2 - mean**2
-    return mean, var
+def _fold(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(exp(-|s|), s < 0)``, the exponential written over ``s``."""
+    mirrored = s < 0
+    return np.exp(np.negative(np.abs(s, out=s), out=s), out=s), mirrored
+
+
+def _edge_moments(family: WeightFamily, s: np.ndarray, var: bool):
+    """Edge means, and the variances when ``var`` (else None), at pair sums ``s``.
+
+    ``s`` must lie in the family's domain, and it is overwritten: the kernel
+    works in place to keep the number of arrays it allocates small.  Binary
+    and ``finite:q`` take one exponential ``t = exp(-|s|)`` per edge; for
+    ``s < 0`` the binary mean is ``t/(1+t)`` and the q-point pmf is the mirror
+    image ``k -> q-1-k`` of the pmf at ``|s|``.  Geometric takes one ``expm1``
+    per edge, exponential none.
+    """
+    if family.kind == "exponential":
+        mean = np.reciprocal(s, out=s)
+        return mean, (mean * mean if var else None)
+    if family.kind == "geometric":
+        with np.errstate(over="ignore"):
+            mean = np.reciprocal(np.expm1(s, out=s), out=s)
+        return mean, (np.multiply(mean + 1.0, mean) if var else None)
+    t, mirrored = _fold(s)
+    if family.kind == "binary":
+        p = t + 1.0
+        np.reciprocal(p, out=p)
+        low = np.multiply(t, p, out=t)  # the mean at -|s|
+        variance = low * p if var else None
+        np.copyto(p, low, where=mirrored)
+        return p, variance
+    q = family.support_size
+    z, *raw = _power_sums(q, t, 2 if var else 1)
+    mean = np.divide(raw[0], z, out=raw[0])
+    variance = None
+    if var:
+        variance = np.divide(raw[1], z, out=raw[1])
+        variance -= np.multiply(mean, mean, out=z)
+    np.subtract(q - 1, mean, out=mean, where=mirrored)
+    return mean, variance
 
 
 def _check_domain(family: WeightFamily, s: np.ndarray) -> None:
@@ -270,35 +327,34 @@ def _scalar_like(template, value: np.ndarray):
     return float(value) if np.ndim(template) == 0 else value
 
 
+def _per_edge(family: WeightFamily, s, var: bool):
+    arr = np.array(s, dtype=float, ndmin=1)  # a copy, which the kernel overwrites
+    _check_domain(family, arr)
+    out = _edge_moments(family, arr, var)[1 if var else 0]
+    return float(out[0]) if np.ndim(s) == 0 else out
+
+
 def edge_mean(family: WeightFamily, s):
     """Expected edge weight at pair sum ``s`` (elementwise over arrays)."""
-    arr = np.asarray(s, dtype=float)
-    _check_domain(family, arr)
-    if family.kind == "binary":
-        out = _sigmoid(arr)
-    elif family.kind == "exponential":
-        out = 1.0 / arr
-    elif family.kind == "geometric":
-        with np.errstate(over="ignore"):
-            out = 1.0 / np.expm1(arr)
-    else:
-        out, _ = _finite_moments(family.support_size, arr)
-    return _scalar_like(s, out)
+    return _per_edge(family, s, var=False)
 
 
 def edge_variance(family: WeightFamily, s):
     """Edge-weight variance at pair sum ``s``; equals the Fisher cross entry."""
-    arr = np.asarray(s, dtype=float)
-    _check_domain(family, arr)
+    return _per_edge(family, s, var=True)
+
+
+def _log_partition(family: WeightFamily, s: np.ndarray) -> np.ndarray:
     if family.kind == "binary":
-        out = _sigmoid(arr) * _sigmoid(-arr)
-    elif family.kind == "exponential":
-        out = arr**-2
-    elif family.kind == "geometric":
-        out = np.exp(-arr) / np.expm1(-arr) ** 2
-    else:
-        _, out = _finite_moments(family.support_size, arr)
-    return _scalar_like(s, out)
+        return np.logaddexp(0.0, s)
+    if family.kind == "exponential":
+        return np.log(s)
+    if family.kind == "geometric":
+        return np.log(-np.expm1(-s))
+    # log sum_k exp(-s k) = log Z(exp(-|s|)) plus the largest exponent, (q-1)|s| when s < 0
+    q = family.support_size
+    z = _power_sums(q, np.exp(-np.abs(s)), 0)[0]
+    return -(np.log(z) + (q - 1) * np.maximum(-s, 0.0))
 
 
 def log_partition_term(family: WeightFamily, s):
@@ -310,19 +366,7 @@ def log_partition_term(family: WeightFamily, s):
     """
     arr = np.asarray(s, dtype=float)
     _check_domain(family, arr)
-    if family.kind == "binary":
-        out = np.logaddexp(0.0, arr)
-    elif family.kind == "exponential":
-        out = np.log(arr)
-    elif family.kind == "geometric":
-        out = np.log(-np.expm1(-arr))
-    else:
-        q = family.support_size
-        support = np.arange(q, dtype=float)
-        logits = -arr[..., None] * support
-        peak = logits.max(axis=-1)
-        out = -(peak + np.log(np.exp(logits - peak[..., None]).sum(axis=-1)))
-    return _scalar_like(s, out)
+    return _scalar_like(s, _log_partition(family, arr))
 
 
 # ---------------------------------------------------------------------------
@@ -350,13 +394,35 @@ def validate_params(theta: ParamVector, family: WeightFamily) -> None:
             )
 
 
-def _edge_matrix(theta: ParamVector, family: WeightFamily, fn) -> np.ndarray:
-    """Apply a per-edge map to all off-diagonal pair sums; diagonal is zero."""
-    sums = theta.pair_sums()
-    np.fill_diagonal(sums, 1.0)  # placeholder; excluded from every result
-    out = fn(family, sums)
-    np.fill_diagonal(out, 0.0)
-    return out
+def _pair_moments(theta: ParamVector, family: WeightFamily, var: bool):
+    """Edge means, and the variances when ``var`` (else None), of every ordered
+    pair as n-by-n arrays with a zero diagonal.
+
+    Callers run :func:`validate_params` first, which makes every off-diagonal
+    pair sum finite and in the family's domain, so no per-edge check runs here.
+    """
+    if (
+        family.kind == "binary"
+        and np.abs(theta.alpha).max() + np.abs(theta.beta).max() <= _EXP_SAFE
+    ):
+        # exp(-alpha_i - beta_j) factorises: an n^2 multiply in place of n^2
+        # exponentials.  Then mean = 1/(1+t) and variance = t/(1+t)^2.
+        t = np.multiply.outer(np.exp(-theta.alpha), np.exp(-theta.beta))
+        if var:
+            mean = t + 1.0
+            np.reciprocal(mean, out=mean)
+            variance = np.multiply(np.multiply(t, mean, out=t), mean, out=t)
+        else:
+            mean = np.reciprocal(np.add(t, 1.0, out=t), out=t)
+            variance = None
+    else:
+        sums = theta.pair_sums()
+        np.fill_diagonal(sums, 1.0)  # placeholder in every family's domain; zeroed below
+        mean, variance = _edge_moments(family, sums, var)
+    np.fill_diagonal(mean, 0.0)
+    if var:
+        np.fill_diagonal(variance, 0.0)
+    return mean, variance
 
 
 def bi_degrees(graph: Graph) -> BiDegree:
@@ -367,7 +433,7 @@ def bi_degrees(graph: Graph) -> BiDegree:
 def expected_degrees(theta: ParamVector, family: WeightFamily) -> BiDegree:
     """Expected bi-degree sequence under the model at ``theta``."""
     validate_params(theta, family)
-    means = _edge_matrix(theta, family, edge_mean)
+    means, _ = _pair_moments(theta, family, var=False)
     return BiDegree(means.sum(axis=1), means.sum(axis=0))
 
 
@@ -381,7 +447,7 @@ def moment_residual(theta: ParamVector, g: BiDegree, family: WeightFamily) -> np
     validate_params(theta, family)
     if g.n != theta.n:
         raise ValueError(f"degree length {g.n} does not match parameter length {theta.n}")
-    means = _edge_matrix(theta, family, edge_mean)
+    means, _ = _pair_moments(theta, family, var=False)
     return np.concatenate([g.d - means.sum(axis=1), (g.b - means.sum(axis=0))[:-1]])
 
 
@@ -395,5 +461,8 @@ def log_likelihood(theta: ParamVector, g: BiDegree, family: WeightFamily) -> flo
     validate_params(theta, family)
     if g.n != theta.n:
         raise ValueError(f"degree length {g.n} does not match parameter length {theta.n}")
-    z = _edge_matrix(theta, family, log_partition_term)
+    sums = theta.pair_sums()
+    np.fill_diagonal(sums, 1.0)  # placeholder in every family's domain; zeroed below
+    z = _log_partition(family, sums)
+    np.fill_diagonal(z, 0.0)
     return float(theta.alpha @ g.d + theta.beta @ g.b - z.sum())

@@ -14,7 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Graph, ParamVector, WeightFamily, _sigmoid, validate_params
+from .model import (
+    Graph,
+    ParamVector,
+    WeightFamily,
+    _fold,
+    _pair_moments,
+    _power_sums,
+    validate_params,
+)
 
 __all__ = [
     "SimDesign",
@@ -103,26 +111,41 @@ def sample_graph(theta: ParamVector, family: WeightFamily, seed: int) -> Graph:
     """
     validate_params(theta, family)
     n = theta.n
-    sums = theta.pair_sums()
-    np.fill_diagonal(sums, 1.0)  # placeholder; the diagonal is zeroed below
     gen = _rng(seed)
     if family.kind == "binary":
-        weights = (gen.random((n, n)) < _sigmoid(sums)).astype(float)
-    elif family.kind == "exponential":
-        u = 1.0 - gen.random((n, n))
-        weights = -np.log(u) / sums
-    elif family.kind == "geometric":
-        u = 1.0 - gen.random((n, n))
-        weights = np.floor(-np.log(u) / sums)
+        p, _ = _pair_moments(theta, family, var=False)
+        weights = (gen.random((n, n)) < p).astype(float)
     else:
-        q = family.support_size
-        support = np.arange(q, dtype=float)
-        logits = -sums[..., None] * support
-        logits -= logits.max(axis=-1, keepdims=True)
-        w = np.exp(logits)
-        cdf = np.cumsum(w, axis=-1)
-        cdf /= cdf[..., -1:]
-        u = gen.random((n, n))
-        weights = np.minimum((cdf < u[..., None]).sum(axis=-1), q - 1).astype(float)
+        sums = theta.pair_sums()
+        np.fill_diagonal(sums, 1.0)  # placeholder; the diagonal is zeroed below
+        if family.kind == "exponential":
+            u = 1.0 - gen.random((n, n))
+            weights = -np.log(u) / sums
+        elif family.kind == "geometric":
+            u = 1.0 - gen.random((n, n))
+            weights = np.floor(-np.log(u) / sums)
+        else:
+            weights = _finite_inverse_cdf(family.support_size, sums, gen.random((n, n)))
     np.fill_diagonal(weights, 0.0)
     return Graph(weights)
+
+
+def _finite_inverse_cdf(q: int, s: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The smallest k with ``P(X <= k) >= u`` under the q-point pmf at ``s``.
+
+    With ``t = exp(-|s|)`` the pmf is ``t**k / Z`` for ``s >= 0`` and its
+    mirror image ``k -> q-1-k`` for ``s < 0``; the mirrored index is drawn
+    with ``1 - u``, so one running sum of ``t**k`` serves both signs.  ``s``
+    and ``u`` are overwritten.
+    """
+    t, mirrored = _fold(s)
+    np.subtract(1.0, u, out=u, where=mirrored)
+    u *= _power_sums(q, t, 0)[0]
+    count = np.zeros_like(u)
+    cumulative = np.zeros_like(u)
+    tk = np.ones_like(u)
+    for _ in range(q - 1):
+        cumulative += tk
+        tk *= t
+        count += cumulative < u
+    return np.subtract(q - 1, count, out=count, where=mirrored)

@@ -35,7 +35,8 @@ from .model import (
     InvalidParameterError,
     ParamVector,
     WeightFamily,
-    _finite_moments,
+    _edge_moments,
+    _power_sums,
     moment_residual,
     validate_params,
 )
@@ -157,13 +158,13 @@ def existence_check(g: BiDegree, family: WeightFamily, n: int | None = None) -> 
     return Feasibility.FEASIBLE
 
 
-def _finite_mean_inverse(q: int, targets: np.ndarray) -> np.ndarray:
+def _finite_mean_inverse(family: WeightFamily, targets: np.ndarray) -> np.ndarray:
     """Invert the strictly decreasing finite-family mean by bisection."""
     lo = np.full_like(targets, -60.0)
     hi = np.full_like(targets, 60.0)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        above = _finite_moments(q, mid)[0] > targets
+        above = _edge_moments(family, mid.copy(), var=False)[0] > targets
         lo = np.where(above, mid, lo)
         hi = np.where(above, hi, mid)
     return 0.5 * (lo + hi)
@@ -174,8 +175,11 @@ def default_start(g: BiDegree, family: WeightFamily) -> ParamVector:
 
     Binary: logits of clamped degree ratios, in-effects re-centered on vertex
     n.  Finite: the same construction through the numeric inverse of the
-    family mean.  Rate families: ``(n-1) / (2 max(degree, 1/2))`` with the
-    re-centering shift moved into alpha so every pair sum stays positive.
+    family mean.  Rate families: half the inverse mean of
+    ``max(degree, 1/2) / (n-1)`` per side -- ``(n-1) / (2 max(degree, 1/2))``
+    for exponential, ``log1p((n-1) / max(degree, 1/2)) / 2`` for geometric --
+    with the re-centering shift moved into alpha so every pair sum stays
+    positive.
     """
     n = g.n
     nm1 = n - 1
@@ -190,12 +194,20 @@ def default_start(g: BiDegree, family: WeightFamily) -> ParamVector:
         top = family.max_weight
         rd = np.clip(g.d / nm1, top * lo, top * (1.0 - lo))
         rb = np.clip(g.b / nm1, top * lo, top * (1.0 - lo))
-        alpha = _finite_mean_inverse(family.support_size, rd)
-        beta_raw = _finite_mean_inverse(family.support_size, rb)
+        alpha = _finite_mean_inverse(family, rd)
+        beta_raw = _finite_mean_inverse(family, rb)
         return ParamVector(alpha, beta_raw - beta_raw[-1], negated=True)
     eps = 0.5
-    alpha = nm1 / (2.0 * np.maximum(g.d, eps))
-    beta_raw = nm1 / (2.0 * np.maximum(g.b, eps))
+    if family.kind == "geometric":
+        # The geometric mean 1/expm1(s) inverts to log1p(1/mean).  The
+        # exponential family's inverse would put small-degree pair sums far
+        # above it, where the variances underflow and the fit stalls until
+        # the divergence heuristic gives up on degrees that have an MLE.
+        alpha = 0.5 * np.log1p(nm1 / np.maximum(g.d, eps))
+        beta_raw = 0.5 * np.log1p(nm1 / np.maximum(g.b, eps))
+    else:
+        alpha = nm1 / (2.0 * np.maximum(g.d, eps))
+        beta_raw = nm1 / (2.0 * np.maximum(g.b, eps))
     shift = beta_raw[-1]
     return ParamVector(alpha + shift, beta_raw - shift, negated=True)
 
@@ -360,16 +372,6 @@ def newton_fit(
 # contraction diagnostics
 
 
-def _finite_abs_third_moment(q: int, s: np.ndarray) -> np.ndarray:
-    support = np.arange(q, dtype=float)
-    logits = -s[..., None] * support
-    logits -= logits.max(axis=-1, keepdims=True)
-    w = np.exp(logits)
-    p = w / w.sum(axis=-1, keepdims=True)
-    mean = p @ support
-    return np.abs(((support[None, :] - mean[..., None]) ** 3 * p).sum(axis=-1))
-
-
 def _lipschitz_constants(
     family: WeightFamily, theta0: ParamVector, n: int, r: float
 ) -> tuple[float, float, str | None]:
@@ -390,7 +392,10 @@ def _lipschitz_constants(
     if family.kind == "finite":
         hi = float(np.max(np.where(np.isinf(sums), -np.inf, sums)))
         grid = np.linspace(q_n - 4.0 * r, hi + 4.0 * r, 513)
-        bound = float(_finite_abs_third_moment(family.support_size, grid).max())
+        z, m1, m2, m3 = _power_sums(family.support_size, np.exp(-np.abs(grid)), 3)
+        mean = m1 / z
+        # the mirrored pmf at s < 0 only flips the sign of the third central moment
+        bound = float(np.abs(m3 / z - 3.0 * mean * (m2 / z) + 2.0 * mean**3).max())
         return 2.0 * nm1 * bound, nm1 * bound, None
     margin = q_n - 4.0 * r
     if margin <= 0.0:

@@ -93,6 +93,35 @@ class TestFisherInfo:
             assert eigenvalues.min() > 0.0
 
 
+    def test_import_leaves_scipy_linalg_unloaded(self):
+        # scipy.linalg is most of the package's import time and only the
+        # dense oracle needs it, so it is imported on first use
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import bidegree
+
+        package_root = str(Path(bidegree.__file__).resolve().parent.parent)
+        pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys, bidegree, bidegree.cli\n"
+            "loaded = sorted(m for m in sys.modules if 'scipy' in m)\n"
+            "assert 'scipy.linalg' not in loaded, loaded\n"
+            "theta = bidegree.ParamVector([0.1, 0.2, 0.3], [0.3, 0.2, 0.0])\n"
+            "bidegree.dense_inverse(bidegree.fisher_info(theta, bidegree.WeightFamily.binary()))\n"
+            "assert 'scipy.linalg' in sys.modules\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
+        )
+        assert result.returncode == 0, result.stderr
+
+
 class TestApplyApproxInverse:
     def test_zero_vector(self):
         approx = ApproxInverse(np.full(5, 2.0), 2.0)

@@ -1,9 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from bidegree.fisher import fisher_info
 
 from bidegree.model import (
     BiDegree,
@@ -20,6 +23,7 @@ from bidegree.model import (
     moment_residual,
     validate_params,
 )
+from bidegree.model import _pair_moments
 
 BINARY = WeightFamily.binary()
 EXPONENTIAL = WeightFamily.exponential()
@@ -143,6 +147,125 @@ class TestEdgeVariance:
             slope = (edge_mean(fam, s + h) - edge_mean(fam, s - h)) / (2 * h)
             sign = -1.0 if fam.negated else 1.0
             assert slope == pytest.approx(sign * edge_variance(fam, s), rel=1e-6)
+
+
+def mp_moments(family, s):
+    """Mean and variance at pair sum ``s`` in 50-digit arithmetic, from the
+    pmf or the closed forms; independent of the float kernel."""
+    with mpmath.workdps(50):
+        s = mpmath.mpf(s)
+        if family.kind == "binary":
+            p = 1 / (1 + mpmath.exp(-s))
+            return p, p / (1 + mpmath.exp(s))  # p (1 - p) without cancelling 1 - p
+        if family.kind == "exponential":
+            return 1 / s, 1 / s**2
+        if family.kind == "geometric":
+            m = 1 / mpmath.expm1(s)
+            return m, m * (1 + m)
+        weights = [mpmath.exp(-s * k) for k in range(family.support_size)]
+        z = mpmath.fsum(weights)
+        mean = mpmath.fsum(k * w for k, w in enumerate(weights)) / z
+        var = mpmath.fsum((k - mean) ** 2 * w for k, w in enumerate(weights)) / z
+        return mean, var
+
+
+def assert_matches_mp(family, s, mean, var, rel=1e-12, atol=0.0):
+    for x, m, v in zip(np.ravel(s), np.ravel(mean), np.ravel(var)):
+        ref_m, ref_v = mp_moments(family, x)
+        assert abs(m - ref_m) <= rel * abs(ref_m) + atol, (family.label, x, "mean", m, ref_m)
+        assert abs(v - ref_v) <= rel * abs(ref_v) + atol, (family.label, x, "variance", v, ref_v)
+
+
+def pair_sum_lists(low, high):
+    return st.lists(st.floats(low, high, allow_nan=False), min_size=1, max_size=20)
+
+
+class TestEdgeKernel:
+    """The one-pass kernel against 50-digit references, to 1e-12 relative."""
+
+    @given(pair_sum_lists(-700.0, 700.0))
+    @settings(max_examples=150, deadline=None)
+    def test_binary(self, values):
+        s = np.array(values)
+        assert_matches_mp(BINARY, s, edge_mean(BINARY, s), edge_variance(BINARY, s))
+
+    @given(st.sampled_from([2, 3, 4, 7]), pair_sum_lists(-40.0, 40.0))
+    @settings(max_examples=200, deadline=None)
+    def test_finite(self, q, values):
+        fam = WeightFamily.finite(q)
+        s = np.array(values)
+        assert_matches_mp(fam, s, edge_mean(fam, s), edge_variance(fam, s))
+
+    @given(pair_sum_lists(1e-8, 700.0))
+    @settings(max_examples=150, deadline=None)
+    def test_geometric(self, values):
+        s = np.array(values)
+        assert_matches_mp(GEOMETRIC, s, edge_mean(GEOMETRIC, s), edge_variance(GEOMETRIC, s))
+
+    @given(pair_sum_lists(1e-8, 1e8))
+    @settings(max_examples=100, deadline=None)
+    def test_exponential(self, values):
+        s = np.array(values)
+        assert_matches_mp(EXPONENTIAL, s, edge_mean(EXPONENTIAL, s), edge_variance(EXPONENTIAL, s))
+
+    @given(
+        st.lists(st.floats(-400.0, 400.0, allow_nan=False), min_size=3, max_size=8),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_binary_whole_graph(self, alpha, seed):
+        # |alpha| + |beta| up to 800 covers both the factorised exp(-alpha) *
+        # exp(-beta) path and the per-edge fallback past 700
+        n = len(alpha)
+        beta = np.random.default_rng(seed).uniform(-400.0, 400.0, n)
+        theta = ParamVector(alpha, beta)
+        mean, var = _pair_moments(theta, BINARY, var=True)
+        s = theta.pair_sums()
+        inner = ~np.eye(n, dtype=bool) & (np.abs(s) <= 700.0)
+        outer = ~np.eye(n, dtype=bool) & (np.abs(s) > 700.0)
+        assert np.all(np.diagonal(mean) == 0.0) and np.all(np.diagonal(var) == 0.0)
+        assert_matches_mp(BINARY, s[inner], mean[inner], var[inner])
+        # past 700 the small results are subnormal: only an absolute check is meaningful
+        assert_matches_mp(BINARY, s[outer], mean[outer], var[outer], atol=1e-300)
+        assert np.array_equal(_pair_moments(theta, BINARY, var=False)[0], mean)
+
+    def test_scalar_in_scalar_out(self):
+        for fam in ALL_FAMILIES:
+            assert isinstance(edge_mean(fam, 0.7), float)
+            assert isinstance(edge_variance(fam, 0.7), float)
+
+    def test_input_array_left_unchanged(self):
+        s = np.array([-1.5, 0.5, 2.0])
+        for fam in (BINARY, WeightFamily.finite(3)):
+            edge_mean(fam, s)
+            edge_variance(fam, s)
+            assert s.tolist() == [-1.5, 0.5, 2.0]
+
+    @pytest.mark.parametrize("family", [BINARY, WeightFamily.finite(2), WeightFamily.finite(4)],
+                             ids=lambda f: f.label)
+    def test_no_nan_at_theta_norm_800(self, family):
+        n = 12
+        rng = np.random.default_rng(4)
+        alpha = rng.uniform(-800.0, 800.0, n)
+        alpha[0], alpha[1] = 800.0, -800.0
+        beta = np.append(rng.uniform(-800.0, 800.0, n - 1), 0.0)
+        beta[0] = 800.0
+        theta = ParamVector(alpha, beta, negated=family.negated)
+        g = expected_degrees(ParamVector(np.zeros(n), np.zeros(n), family.negated), family)
+        # exp(-|s|) may underflow to zero at |s| = 1600; nothing may turn into nan or inf
+        with np.errstate(invalid="raise", divide="raise", over="raise"):
+            fisher = fisher_info(theta, family)
+            arrays = [
+                fisher.cross,
+                fisher.row_sums,
+                moment_residual(theta, g, family),
+                expected_degrees(theta, family).d,
+                edge_mean(family, theta.pair_sums()),
+                edge_variance(family, theta.pair_sums()),
+            ]
+        for values in arrays:
+            assert np.all(np.isfinite(values))
+        assert fisher.cross_min >= 0.0
 
 
 class TestLogPartition:

@@ -187,6 +187,37 @@ class TestSampleGraph:
         assert abs(fw.mean() - bw.mean()) < 2 * tol
 
 
+def tensor_finite_draws(q, s, u):
+    """Reference inverse CDF: the cumulative pmf from an n x n x q tensor of
+    weights, compared with the uniforms ``u``."""
+    logits = -s[..., None] * np.arange(q, dtype=float)
+    logits -= logits.max(axis=-1, keepdims=True)
+    cdf = np.cumsum(np.exp(logits), axis=-1)
+    cdf /= cdf[..., -1:]
+    return np.minimum((cdf < u[..., None]).sum(axis=-1), q - 1).astype(float)
+
+
+class TestFiniteInverseCdf:
+    @pytest.mark.parametrize("q", [2, 3, 4, 7])
+    def test_matches_tensor_inverse_cdf(self, q):
+        # both signs of the pair sum, so the mirrored pmf is drawn as well
+        from bidegree.sampler import _rng
+
+        fam = WeightFamily.finite(q)
+        rng = np.random.default_rng(q)
+        n = 80
+        alpha = rng.uniform(-4.0, 4.0, n)
+        beta = np.append(rng.uniform(-4.0, 4.0, n - 1), 0.0)
+        theta = ParamVector(alpha, beta, negated=True)
+        weights = sample_graph(theta, fam, 99).weights
+        s = theta.pair_sums()
+        np.fill_diagonal(s, 1.0)
+        expected = tensor_finite_draws(q, s, _rng(99).random((n, n)))
+        np.fill_diagonal(expected, 0.0)
+        assert np.array_equal(weights, expected)
+        assert (s < 0).sum() > 1000 and (s > 0).sum() > 1000
+
+
 class TestGoldenSamples:
     """Frozen draws pin the generator choice (Philox keyed by the derived
     seed); any change to the sampling path shows up here first."""

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import bidegree.fisher
+import bidegree.model
 import bidegree.solver
 from bidegree.fisher import dense_inverse
 from bidegree.model import (
@@ -239,6 +241,91 @@ class TestNewtonFit:
             assert a.existence is b.existence
             assert a.iterations == b.iterations
             assert np.abs(a.theta_hat.free - b.theta_hat.free).max() <= 1e-10
+
+
+    def test_geometric_nonexistent_only_with_a_zero_degree(self):
+        # Small degrees have large geometric pair sums under the exponential
+        # family's start (n-1)/(2 deg); from there the variances underflowed
+        # and the divergence heuristic declared 180 of these 300 fits
+        # nonexistent.  An MLE exists whenever every degree is positive.
+        family, n = GEOMETRIC, 200
+        design = design_params(SimDesign(family, n, ramp_magnitude("sqrtlog", n)))
+        verdicts = []
+        for r in range(300):
+            g = bi_degrees(sample_graph(design, family, derive_seed(8, r)))
+            result = newton_fit(g, family)
+            zero_degree = bool(np.any(g.d == 0) or np.any(g.b == 0))
+            verdicts.append((result.existence, zero_degree))
+            assert result.existence is not Existence.UNDETERMINED
+            if result.existence is Existence.NON_EXISTENT:
+                assert zero_degree, f"replication {r}: nonexistent with every degree positive"
+        assert sum(v is Existence.EXISTS for v, _ in verdicts) > 200
+
+    @pytest.mark.parametrize(
+        "family, n, rule, seeds, forced",
+        [
+            (BINARY, 150, "loglog", (0, 1, 2), [3, 3, 2, 1, 1]),
+            (EXPONENTIAL, 150, "sqrtlog", (0, 1), None),
+            (GEOMETRIC, 200, "sqrtlog", (0, 1, 5, 6), None),
+            (FINITE4, 150, "loglog", (0, 1, 2), None),
+            (WeightFamily.finite(3), 120, "zero", (0, 1), None),
+        ],
+        ids=["binary", "exponential", "geometric", "finite:4", "finite:3"],
+    )
+    def test_edge_kernel_matches_tensor_formulas_fit_by_fit(
+        self, monkeypatch, family, n, rule, seeds, forced
+    ):
+        # ``forced`` degrees are realisable only with some edges at the
+        # support's ends, so the fit marches to the divergence bound; there
+        # the iterates are ill-conditioned and only verdict and iteration
+        # count are compared.  (The finite analogue is left out: at pair sums
+        # near -44 the reference's E k^2 - mean^2 cancels to a variance of 0.)
+        design = design_params(SimDesign(family, n, ramp_magnitude(rule, n)))
+        graphs = [bi_degrees(sample_graph(design, family, derive_seed(8, s))) for s in seeds]
+        if forced:
+            graphs.append(BiDegree(forced, forced))
+        fast = [newton_fit(g, family) for g in graphs]
+        monkeypatch.setattr(bidegree.model, "_pair_moments", tensor_pair_moments)
+        monkeypatch.setattr(bidegree.fisher, "_pair_moments", tensor_pair_moments)
+        slow = [newton_fit(g, family) for g in graphs]
+        for a, b in zip(fast, slow):
+            assert a.existence is b.existence
+            assert a.iterations == b.iterations
+            if a.existence is Existence.EXISTS:
+                assert np.abs(a.theta_hat.free - b.theta_hat.free).max() <= 1e-10
+
+
+def tensor_pair_moments(theta, family, var):
+    """Reference for ``bidegree.model._pair_moments``: the per-family formulas
+    the one-pass kernel replaced, with the finite family's moments taken from
+    an n x n x q tensor of normalized pmf weights."""
+    s = theta.pair_sums()
+    np.fill_diagonal(s, 1.0)
+    if family.kind == "binary":
+        def sigmoid(x):
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        mean, variance = sigmoid(s), sigmoid(s) * sigmoid(-s)
+    elif family.kind == "exponential":
+        mean, variance = 1.0 / s, s**-2
+    elif family.kind == "geometric":
+        mean, variance = 1.0 / np.expm1(s), np.exp(-s) / np.expm1(-s) ** 2
+    else:
+        support = np.arange(family.support_size, dtype=float)
+        logits = -s[..., None] * support
+        logits -= logits.max(axis=-1, keepdims=True)
+        w = np.exp(logits)
+        p = w / w.sum(axis=-1, keepdims=True)
+        mean = p @ support
+        variance = p @ support**2 - mean**2
+    np.fill_diagonal(mean, 0.0)
+    np.fill_diagonal(variance, 0.0)
+    return mean, (variance if var else None)
 
 
 class TestNewtonDiagnostics:
