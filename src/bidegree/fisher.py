@@ -12,6 +12,10 @@ in-effect of the last vertex; its entrywise error decays like
 ``max_offdiag^2 / (min_offdiag^3 * (n-1)^2)`` for well-behaved parameter
 sequences, which :func:`approx_error` lets callers measure directly.
 
+In a fit, :func:`fisher_info` builds the matrix from the edge variances the
+accepted trial's residual pass left in the fit's workspace, so it evaluates
+no edge itself; it only takes the two margins and the extreme entries.
+
 The exact solve :func:`solve_structured` uses the approximate inverse as the
 preconditioner of conjugate gradients, so it costs O(n^2) per Newton step.
 :func:`materialize` and :func:`dense_inverse` build the dense matrix and its
@@ -25,7 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ParamVector, WeightFamily, _pair_moments, validate_params
+from .model import (
+    ParamVector,
+    WeightFamily,
+    _margins,
+    _pair_moments,
+    _Workspace,
+    validate_params,
+)
 
 __all__ = [
     "ApproxError",
@@ -103,16 +114,29 @@ class ApproxError:
     bound_shape: float
 
 
-def fisher_info(theta: ParamVector, family: WeightFamily) -> StructuredFisher:
+def fisher_info(
+    theta: ParamVector, family: WeightFamily, work: _Workspace | None = None
+) -> StructuredFisher:
     """Build the structured Fisher matrix at ``theta``.
 
     The sign convention follows the storage orientation, so the returned
     matrix is positive for every family.
+
+    ``work`` is the fitting loop's workspace.  When its last pass evaluated
+    this very ``theta`` (the accepted trial's :func:`moment_residual`), its
+    edge variances become ``cross`` and no edge is evaluated again;
+    otherwise the pass runs here, into the workspace's buffers.  Either way
+    ``cross`` is then the workspace's buffer, valid until its next pass.
     """
     validate_params(theta, family)
-    _, cross = _pair_moments(theta, family, var=True)
-    row_sums = cross.sum(axis=1)
-    col_sums = cross.sum(axis=0)
+    if work is None:
+        _, cross = _pair_moments(theta, family, var=True)
+    elif work.theta is theta:
+        cross = work.variance
+    else:
+        _, cross = _pair_moments(theta, family, var=True, out=work.buffers)
+        work.theta, work.variance = theta, cross
+    row_sums, col_sums = _margins(cross)
     np.fill_diagonal(cross, np.inf)  # keep the zero diagonal out of the minimum
     cross_min = float(cross.min())
     np.fill_diagonal(cross, 0.0)

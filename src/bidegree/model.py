@@ -23,8 +23,18 @@ binary family takes ``t = exp(-s)``, as the n^2 product
 ``expm1``; exponential is ``1/s``.  The Fisher build, the moment residual,
 the sampler, the finite warm start and the finite log-partition all run it.
 
+Every whole-graph evaluation is one pass of ``_pair_moments``, which writes
+the means and variances into two n x n arrays; row and column sums are
+mat-vecs with a ones vector.  In a fit, each Newton trial makes one such
+pass: :func:`moment_residual` given the fit's workspace (``work``)
+computes the variances with the means and leaves them there, and the Fisher
+matrix of the accepted trial is built from them without a second pass.  The
+workspace holds the fit's two buffers, so the fitting loop allocates no n x n
+array.
+
 Every public function here is a pure function of immutable values; nothing
 mutates after construction, so all objects are safe to share across threads.
+A workspace is made per fit and never outlives it.
 """
 
 from __future__ import annotations
@@ -186,8 +196,18 @@ class ParamVector:
         return cls(free[:n].copy(), beta, negated)
 
     def with_step(self, step: np.ndarray) -> "ParamVector":
-        """Add a step in free coordinates, keeping ``beta[-1]`` fixed."""
-        return ParamVector.from_free(self.free + step, self.negated)
+        """Add a step in free coordinates; ``beta[-1]`` becomes 0, as in
+        :meth:`from_free`.
+
+        It adds to alpha and beta directly rather than through
+        :attr:`free`: a fit takes a step per trial, and the length 2n-1
+        copies split the allocator's free blocks into pieces too small for
+        the length-n arrays of the results a caller keeps.
+        """
+        n = self.n
+        return ParamVector(
+            self.alpha + step[:n], np.append(self.beta[:-1] + step[n:], 0.0), self.negated
+        )
 
     def pair_sums(self) -> np.ndarray:
         """The n-by-n matrix ``alpha[i] + beta[j]`` (diagonal included)."""
@@ -277,40 +297,47 @@ def _fold(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.exp(np.negative(np.abs(s, out=s), out=s), out=s), mirrored
 
 
-def _edge_moments(family: WeightFamily, s: np.ndarray, var: bool):
-    """Edge means, and the variances when ``var`` (else None), at pair sums ``s``.
+def _edge_moments(family: WeightFamily, s: np.ndarray, variance: np.ndarray | None = None):
+    """Edge means at pair sums ``s``, written over ``s``, and the variances,
+    written into ``variance`` when it is given.  Returns ``(s, variance)``.
 
-    ``s`` must lie in the family's domain, and it is overwritten: the kernel
-    works in place to keep the number of arrays it allocates small.  Binary
-    and ``finite:q`` take one exponential ``t = exp(-|s|)`` per edge; for
-    ``s < 0`` the binary mean is ``t/(1+t)`` and the q-point pmf is the mirror
-    image ``k -> q-1-k`` of the pmf at ``|s|``.  Geometric takes one ``expm1``
-    per edge, exponential none.
+    ``s`` must lie in the family's domain.  Binary and ``finite:q`` take one
+    exponential ``t = exp(-|s|)`` per edge; for ``s < 0`` the binary mean is
+    ``t/(1+t)`` and the q-point pmf is the mirror image ``k -> q-1-k`` of the
+    pmf at ``|s|``.  Geometric takes one ``expm1`` per edge, exponential
+    none.  Those two allocate nothing; the binary and finite forms allocate
+    a few temporaries the size of ``s``.
     """
     if family.kind == "exponential":
-        mean = np.reciprocal(s, out=s)
-        return mean, (mean * mean if var else None)
+        mean = np.divide(1.0, s, out=s)
+        if variance is not None:
+            np.multiply(mean, mean, out=variance)
+        return mean, variance
     if family.kind == "geometric":
         with np.errstate(over="ignore"):
-            mean = np.reciprocal(np.expm1(s, out=s), out=s)
-        return mean, (np.multiply(mean + 1.0, mean) if var else None)
-    t, mirrored = _fold(s)
+            mean = np.divide(1.0, np.expm1(s, out=s), out=s)
+        if variance is not None:
+            np.multiply(np.add(mean, 1.0, out=variance), mean, out=variance)
+        return mean, variance
     if family.kind == "binary":
+        t, mirrored = _fold(s)
         p = t + 1.0
-        np.reciprocal(p, out=p)
+        np.divide(1.0, p, out=p)  # the mean at |s|
         low = np.multiply(t, p, out=t)  # the mean at -|s|
-        variance = low * p if var else None
-        np.copyto(p, low, where=mirrored)
-        return p, variance
+        if variance is not None:
+            np.multiply(low, p, out=variance)
+        np.copyto(low, p, where=np.logical_not(mirrored, out=mirrored))
+        return low, variance
     q = family.support_size
-    z, *raw = _power_sums(q, t, 2 if var else 1)
-    mean = np.divide(raw[0], z, out=raw[0])
-    variance = None
-    if var:
-        variance = np.divide(raw[1], z, out=raw[1])
+    t, mirrored = _fold(s)
+    z, *raw = _power_sums(q, t, 1 if variance is None else 2)
+    mean = np.divide(raw[0], z, out=raw[0])  # the mean at |s|
+    if variance is not None:
+        np.divide(raw[1], z, out=variance)
         variance -= np.multiply(mean, mean, out=z)
-    np.subtract(q - 1, mean, out=mean, where=mirrored)
-    return mean, variance
+    np.copyto(s, mean)
+    np.subtract(q - 1, s, out=s, where=mirrored)
+    return s, variance
 
 
 def _check_domain(family: WeightFamily, s: np.ndarray) -> None:
@@ -330,7 +357,7 @@ def _scalar_like(template, value: np.ndarray):
 def _per_edge(family: WeightFamily, s, var: bool):
     arr = np.array(s, dtype=float, ndmin=1)  # a copy, which the kernel overwrites
     _check_domain(family, arr)
-    out = _edge_moments(family, arr, var)[1 if var else 0]
+    out = _edge_moments(family, arr, np.empty_like(arr) if var else None)[1 if var else 0]
     return float(out[0]) if np.ndim(s) == 0 else out
 
 
@@ -373,8 +400,32 @@ def log_partition_term(family: WeightFamily, s):
 # whole-graph quantities
 
 
+def _min_pair_sum(alpha: np.ndarray, beta: np.ndarray) -> tuple[float, int, int]:
+    """The smallest off-diagonal ``alpha[i] + beta[j]`` and a pair ``(i, j)``,
+    ``i != j``, that attains it, in O(n).
+
+    When the smallest alpha and the smallest beta belong to different
+    vertices they form the pair.  Otherwise one side keeps its smallest entry
+    and the other takes the smallest of its remaining ones: any pair that
+    avoids that vertex on both sides is no smaller.
+    """
+    i, j = int(np.argmin(alpha)), int(np.argmin(beta))
+    if i != j:
+        return float(alpha[i] + beta[j]), i, j
+    rest = alpha.copy()
+    rest[i] = np.inf
+    i2 = int(np.argmin(rest))
+    rest = beta.copy()
+    rest[j] = np.inf
+    j2 = int(np.argmin(rest))
+    with_alpha, with_beta = alpha[i] + beta[j2], alpha[i2] + beta[j]
+    if with_alpha <= with_beta:
+        return float(with_alpha), i, j2
+    return float(with_beta), i2, j
+
+
 def validate_params(theta: ParamVector, family: WeightFamily) -> None:
-    """Raise InvalidParameterError unless theta is usable with the family."""
+    """Raise InvalidParameterError unless theta is usable with the family.  O(n)."""
     if theta.negated != family.negated:
         raise InvalidParameterError(
             f"parameter orientation (negated={theta.negated}) does not match "
@@ -383,46 +434,89 @@ def validate_params(theta: ParamVector, family: WeightFamily) -> None:
     if not (np.all(np.isfinite(theta.alpha)) and np.all(np.isfinite(theta.beta))):
         raise InvalidParameterError("parameters must be finite")
     if family.positive_pair_sums:
-        sums = theta.pair_sums()
-        np.fill_diagonal(sums, np.inf)
-        smin = sums.min()
+        smin, i, j = _min_pair_sum(theta.alpha, theta.beta)
         if smin <= 0.0:
-            i, j = np.unravel_index(np.argmin(sums), sums.shape)
             raise InvalidParameterError(
                 f"pair sum for vertices ({i + 1}, {j + 1}) is {smin}; "
                 f"must be positive for the {family.kind} family"
             )
 
 
-def _pair_moments(theta: ParamVector, family: WeightFamily, var: bool):
+# Edges per row block where a whole-graph evaluation needs temporaries (the
+# binary and finite kernels, the damping cut).  A block's temporaries then
+# stay under 128 kB, which the C allocator serves from its free lists: with
+# blocks of 2**15 edges, a finite:4 pass at n=500 took 1200 page faults and
+# twice the time.  The exponential and geometric kernels work in place and
+# run on the whole graph at once.
+_BLOCK_EDGES = 16000
+_IN_PLACE_KINDS = ("exponential", "geometric")
+
+
+class _Workspace:
+    """The two n x n buffers that every whole-graph pass of one fit writes
+    into, and the parameters whose edge variances the last pass left there.
+
+    ``newton_fit`` makes one per fit and hands it to :func:`moment_residual`
+    and :func:`bidegree.fisher.fisher_info` as ``work``; the accepted trial's
+    variances then build the next Fisher matrix without a second pass.
+    Nothing a public function returns points into it.
+    """
+
+    __slots__ = ("buffers", "theta", "variance")
+
+    def __init__(self, n: int) -> None:
+        both = np.empty((2, n, n))  # one block, which the next fit can reuse whole
+        self.buffers = (both[0], both[1])
+        self.theta: ParamVector | None = None
+        self.variance: np.ndarray | None = None
+
+
+def _pair_moments(
+    theta: ParamVector,
+    family: WeightFamily,
+    var: bool,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
+):
     """Edge means, and the variances when ``var`` (else None), of every ordered
     pair as n-by-n arrays with a zero diagonal.
 
-    Callers run :func:`validate_params` first, which makes every off-diagonal
-    pair sum finite and in the family's domain, so no per-edge check runs here.
+    ``out`` is a pair of n-by-n float buffers that receive the means and the
+    variances; without it the arrays are new.  Callers run
+    :func:`validate_params` first, which makes every off-diagonal pair sum
+    finite and in the family's domain, so no per-edge check runs here.
     """
-    if (
-        family.kind == "binary"
-        and np.abs(theta.alpha).max() + np.abs(theta.beta).max() <= _EXP_SAFE
-    ):
-        # exp(-alpha_i - beta_j) factorises: an n^2 multiply in place of n^2
-        # exponentials.  Then mean = 1/(1+t) and variance = t/(1+t)^2.
-        t = np.multiply.outer(np.exp(-theta.alpha), np.exp(-theta.beta))
-        if var:
-            mean = t + 1.0
-            np.reciprocal(mean, out=mean)
-            variance = np.multiply(np.multiply(t, mean, out=t), mean, out=t)
-        else:
-            mean = np.reciprocal(np.add(t, 1.0, out=t), out=t)
-            variance = None
+    n = theta.n
+    if out is None:
+        out = (np.empty((n, n)), np.empty((n, n)) if var else None)
+    mean, variance = out[0], (out[1] if var else None)
+    alpha, beta = theta.alpha, theta.beta
+    if family.kind == "binary" and np.abs(alpha).max() + np.abs(beta).max() <= _EXP_SAFE:
+        # exp(-alpha_i - beta_j) factorises: an n^2 product (a rank-one BLAS
+        # product, exact with one term) in place of n^2 exponentials.  Then
+        # mean = 1/(1+t) and variance = t/(1+t)^2.
+        t = mean if variance is None else variance
+        np.dot(np.exp(-alpha)[:, None], np.exp(-beta)[None, :], out=t)
+        np.divide(1.0, np.add(t, 1.0, out=mean), out=mean)
+        if variance is not None:
+            np.multiply(np.multiply(t, mean, out=t), mean, out=t)
     else:
-        sums = theta.pair_sums()
-        np.fill_diagonal(sums, 1.0)  # placeholder in every family's domain; zeroed below
-        mean, variance = _edge_moments(family, sums, var)
+        rows = n if family.kind in _IN_PLACE_KINDS else max(1, _BLOCK_EDGES // n)
+        for lo in range(0, n, rows):
+            block = slice(lo, lo + rows)
+            s = np.add(alpha[block, None], beta, out=mean[block])
+            # placeholder in every family's domain; zeroed below
+            np.fill_diagonal(s[:, block], 1.0)
+            _edge_moments(family, s, None if variance is None else variance[block])
     np.fill_diagonal(mean, 0.0)
     if var:
         np.fill_diagonal(variance, 0.0)
     return mean, variance
+
+
+def _margins(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column sums of an n-by-n array, as mat-vecs with a ones vector."""
+    ones = np.ones(pairs.shape[0])
+    return pairs @ ones, ones @ pairs
 
 
 def bi_degrees(graph: Graph) -> BiDegree:
@@ -434,21 +528,32 @@ def expected_degrees(theta: ParamVector, family: WeightFamily) -> BiDegree:
     """Expected bi-degree sequence under the model at ``theta``."""
     validate_params(theta, family)
     means, _ = _pair_moments(theta, family, var=False)
-    return BiDegree(means.sum(axis=1), means.sum(axis=0))
+    return BiDegree(*_margins(means))
 
 
-def moment_residual(theta: ParamVector, g: BiDegree, family: WeightFamily) -> np.ndarray:
+def moment_residual(
+    theta: ParamVector, g: BiDegree, family: WeightFamily, work: _Workspace | None = None
+) -> np.ndarray:
     """The length 2n-1 residual ``F(theta)`` whose root is the MLE.
 
     Components 1..n are ``d_i - E d_i``; components n+1..2n-1 are
     ``b_j - E b_j`` for j < n (vertex n's in-effect is pinned by the
     identifiability constraint, so its residual is redundant).
+
+    ``work`` is the fitting loop's workspace: the same pass then also
+    computes the edge variances and leaves them there for the Fisher build
+    at ``theta``.  The residual returned is a new array either way.
     """
     validate_params(theta, family)
     if g.n != theta.n:
         raise ValueError(f"degree length {g.n} does not match parameter length {theta.n}")
-    means, _ = _pair_moments(theta, family, var=False)
-    return np.concatenate([g.d - means.sum(axis=1), (g.b - means.sum(axis=0))[:-1]])
+    if work is None:
+        means, _ = _pair_moments(theta, family, var=False)
+    else:
+        means, work.variance = _pair_moments(theta, family, var=True, out=work.buffers)
+        work.theta = theta
+    out_degrees, in_degrees = _margins(means)
+    return np.concatenate([g.d - out_degrees, (g.b - in_degrees)[:-1]])
 
 
 def log_likelihood(theta: ParamVector, g: BiDegree, family: WeightFamily) -> float:

@@ -7,6 +7,12 @@ preconditioned by the approximate inverse, O(n^2) per step) or take the
 cheap approximate-inverse step; both drive ``F`` to zero whenever the MLE
 exists.
 
+Each trial step costs one pass over the edges: the residual pass also
+leaves the edge variances in the fit's workspace (two n x n buffers
+allocated once per fit), and the accepted trial's variances are the next
+step's Fisher matrix.  Step damping for the positive-rate families tests the
+full step in O(n) and evaluates the pair sums only when it has to cut it.
+
 The MLE exists iff the observed bi-degree sequence lies in the interior of
 the mean polytope, and is then unique.  Interior membership has no practical
 test, but its failure has an observable signature: the iterates run off to
@@ -31,12 +37,15 @@ from .fisher import (
     solve_structured,
 )
 from .model import (
+    _BLOCK_EDGES,
     BiDegree,
     InvalidParameterError,
     ParamVector,
     WeightFamily,
     _edge_moments,
+    _min_pair_sum,
     _power_sums,
+    _Workspace,
     moment_residual,
     validate_params,
 )
@@ -164,7 +173,7 @@ def _finite_mean_inverse(family: WeightFamily, targets: np.ndarray) -> np.ndarra
     hi = np.full_like(targets, 60.0)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        above = _edge_moments(family, mid.copy(), var=False)[0] > targets
+        above = _edge_moments(family, mid.copy())[0] > targets
         lo = np.where(above, mid, lo)
         hi = np.where(above, hi, mid)
     return 0.5 * (lo + hi)
@@ -221,19 +230,26 @@ def _damping(theta: ParamVector, delta: np.ndarray, family: WeightFamily) -> flo
     if not family.positive_pair_sums:
         return 1.0
     n = theta.n
-    sums = theta.pair_sums()
-    np.fill_diagonal(sums, np.inf)
+    dalpha = delta[:n]
     dbeta = np.zeros(n)
     dbeta[: n - 1] = delta[n:]
-    dsums = delta[:n, None] + dbeta[None, :]
-    np.fill_diagonal(dsums, 0.0)
-    target = 0.5 * sums.min()
-    after = sums + dsums
-    if after.min() >= target:
+    # The full step usually keeps the margin, and the smallest pair sums
+    # before and after it take O(n) (see ``_min_pair_sum``).
+    target = 0.5 * _min_pair_sum(theta.alpha, theta.beta)[0]
+    if _min_pair_sum(theta.alpha + dalpha, theta.beta + dbeta)[0] >= target:
         return 1.0
-    shrinking = dsums < 0
-    lam = float(np.min((target - sums[shrinking]) / dsums[shrinking]))
-    return min(max(lam, 0.0), 1.0)
+    # Otherwise lambda is the smallest (target - s_ij) / ds_ij over the pairs
+    # the step shrinks, taken over blocks of rows to keep temporaries small.
+    lam = 1.0
+    rows = max(1, _BLOCK_EDGES // n)
+    for lo in range(0, n, rows):
+        block = slice(lo, lo + rows)
+        dsums = dalpha[block, None] + dbeta
+        np.fill_diagonal(dsums[:, block], 0.0)  # the diagonal is no pair
+        shrinking = dsums < 0
+        sums = (theta.alpha[block, None] + theta.beta)[shrinking]
+        lam = min(lam, float(np.min((target - sums) / dsums[shrinking], initial=1.0)))
+    return max(lam, 0.0)
 
 
 def _stagnant(residuals: list[float]) -> bool:
@@ -256,6 +272,12 @@ def newton_fit(
     """
     cfg = config or FitConfig()
     n = g.n
+    # Every pass of this fit writes into the workspace's two n x n buffers,
+    # and each residual pass leaves the edge variances there for the next
+    # Fisher build.  It is allocated before anything else so that the C
+    # allocator hands it the space the previous fit's buffers freed, before
+    # small arrays that outlive the fit split that space up.
+    work = _Workspace(n)
     theta = default_start(g, family) if theta0 is None else theta0
     validate_params(theta, family)
     if not theta.is_normalized:
@@ -273,7 +295,7 @@ def newton_fit(
     existence = Existence.UNDETERMINED
     converged = False
     iterations = 0
-    residual = moment_residual(theta, g, family)
+    residual = moment_residual(theta, g, family, work=work)
     resid_norm = float(np.abs(residual).max())
 
     for iterations in range(1, cfg.max_iter + 1):
@@ -297,7 +319,7 @@ def newton_fit(
             existence = Existence.NON_EXISTENT
             break
         try:
-            fisher = fisher_info(theta, family)
+            fisher = fisher_info(theta, family, work=work)
             if cfg.step_mode == "exact":
                 raw = solve_structured(fisher, residual)
             else:
@@ -319,7 +341,7 @@ def newton_fit(
         # monotone in the inf-norm, so it is accepted as is.
         for _ in range(30):
             candidate = theta.with_step(lam * delta)
-            trial = moment_residual(candidate, g, family)
+            trial = moment_residual(candidate, g, family, work=work)
             trial_norm = float(np.abs(trial).max())
             if (
                 cfg.step_mode != "exact"
@@ -349,12 +371,14 @@ def newton_fit(
         and math.isfinite(resid_norm)
     ):
         try:
-            fisher = fisher_info(theta, family)
-            residual = moment_residual(theta, g, family)
+            # The residual pass first: the Fisher matrix reads its variances
+            # and keeps them in the workspace until the next pass.
+            residual = moment_residual(theta, g, family, work=work)
+            fisher = fisher_info(theta, family, work=work)
             delta = sign * solve_structured(fisher, residual)
             lam = _damping(theta, delta, family)
             polished = theta.with_step(lam * delta)
-            polished_norm = float(np.abs(moment_residual(polished, g, family)).max())
+            polished_norm = float(np.abs(moment_residual(polished, g, family, work=work)).max())
             if polished_norm <= resid_norm:
                 theta = polished
                 resid_norm = polished_norm
@@ -418,8 +442,9 @@ def newton_diagnostics(
     """
     validate_params(theta0, family)
     n = g.n
-    fisher = fisher_info(theta0, family)
-    residual = moment_residual(theta0, g, family)
+    work = _Workspace(n)
+    residual = moment_residual(theta0, g, family, work=work)
+    fisher = fisher_info(theta0, family, work=work)
     r = float(np.abs(solve_structured(fisher, residual)).max())
     k1, k2, reason = _lipschitz_constants(family, theta0, n, r)
     m, big_m = fisher.cross_min, fisher.cross_max

@@ -1,9 +1,10 @@
 import math
+import re
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bidegree.fisher import fisher_info
@@ -23,7 +24,7 @@ from bidegree.model import (
     moment_residual,
     validate_params,
 )
-from bidegree.model import _pair_moments
+from bidegree.model import _min_pair_sum, _pair_moments
 
 BINARY = WeightFamily.binary()
 EXPONENTIAL = WeightFamily.exponential()
@@ -291,6 +292,17 @@ class TestLogPartition:
 # vectors, degrees
 
 
+@st.composite
+def effect_pairs(draw):
+    """alpha and beta of one length n in 2..8, drawn from a few values so
+    that minima tie, some of them at the same vertex on both sides."""
+    n = draw(st.integers(2, 8))
+    values = st.sampled_from([-1.5, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0])
+    alpha = draw(st.lists(values, min_size=n, max_size=n))
+    beta = draw(st.lists(values, min_size=n, max_size=n))
+    return np.array(alpha), np.array(beta)
+
+
 class TestParamVector:
     def test_beta_last_not_required_for_evaluation(self):
         theta = ParamVector(np.ones(3), np.ones(3), negated=True)
@@ -311,6 +323,21 @@ class TestParamVector:
         assert theta.beta[-1] == 0.0
         assert np.array_equal(theta.free, free)
 
+    @given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_with_step_matches_free_coordinates(self, n, seed, negated):
+        # with_step adds to alpha and beta directly; the free-coordinate
+        # form it replaced is the reference, bit for bit, including a start
+        # whose beta[-1] is not 0.
+        rng = np.random.default_rng(seed)
+        theta = ParamVector(rng.normal(size=n), rng.normal(size=n), negated)
+        step = rng.normal(size=2 * n - 1)
+        moved = theta.with_step(step)
+        reference = ParamVector.from_free(theta.free + step, negated)
+        assert np.array_equal(moved.alpha, reference.alpha)
+        assert np.array_equal(moved.beta, reference.beta)
+        assert moved.negated == negated and moved.beta[-1] == 0.0
+
     def test_orientation_mismatch_rejected(self):
         theta = ParamVector(np.ones(3), np.append(np.ones(2), 0.0), negated=False)
         with pytest.raises(InvalidParameterError):
@@ -321,6 +348,38 @@ class TestParamVector:
         theta = ParamVector(alpha, np.append(np.ones(2), 0.0), negated=True)
         with pytest.raises(InvalidParameterError, match=r"\(3, 3\)|\(3, "):
             validate_params(theta, EXPONENTIAL)
+
+    @given(effect_pairs())
+    @example((np.array([0.5, 0.5]), np.array([-0.5, -0.5])))
+    @example((np.array([-1.5, 0.0, 2.0]), np.array([-0.5, -0.5, 1.0])))
+    @example((np.array([0.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.0])))
+    @settings(max_examples=300, deadline=None)
+    def test_min_pair_sum_matches_full_matrix(self, effects):
+        # The O(n) minimum against the n x n one: the same value, and a pair
+        # off the diagonal that attains it.  Effects drawn from a few values
+        # make ties, including ties between the diagonal and the minimum.
+        alpha, beta = effects
+        sums = np.add.outer(alpha, beta)
+        np.fill_diagonal(sums, np.inf)
+        smin, i, j = _min_pair_sum(alpha, beta)
+        assert smin == sums.min()
+        assert i != j and sums[i, j] == smin
+
+    @given(effect_pairs())
+    @example((np.array([-1.5, 0.0, 2.0]), np.array([1.0, -0.5, 1.0])))
+    @settings(max_examples=300, deadline=None)
+    def test_rejection_names_a_pair_at_the_minimum(self, effects):
+        alpha, beta = effects
+        theta = ParamVector(alpha, beta, negated=True)
+        sums = theta.pair_sums()
+        np.fill_diagonal(sums, np.inf)
+        if sums.min() > 0.0:
+            validate_params(theta, EXPONENTIAL)
+            return
+        with pytest.raises(InvalidParameterError) as info:
+            validate_params(theta, EXPONENTIAL)
+        i, j = (int(v) - 1 for v in re.search(r"\((\d+), (\d+)\)", str(info.value)).groups())
+        assert i != j and sums[i, j] == sums.min()
 
 
 class TestBiDegree:
