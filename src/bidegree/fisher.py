@@ -124,18 +124,15 @@ def fisher_info(
 
     ``work`` is the fitting loop's workspace.  When its last pass evaluated
     this very ``theta`` (the accepted trial's :func:`moment_residual`), its
-    edge variances become ``cross`` and no edge is evaluated again;
-    otherwise the pass runs here, into the workspace's buffers.  Either way
-    ``cross`` is then the workspace's buffer, valid until its next pass.
+    edge variances become ``cross``, valid until the workspace's next pass,
+    and no edge is evaluated again; otherwise the pass runs here into fresh
+    arrays.
     """
     validate_params(theta, family)
-    if work is None:
-        _, cross = _pair_moments(theta, family, var=True)
-    elif work.theta is theta:
+    if work is not None and work.theta is theta:
         cross = work.variance
     else:
-        _, cross = _pair_moments(theta, family, var=True, out=work.buffers)
-        work.theta, work.variance = theta, cross
+        _, cross = _pair_moments(theta, family, var=True)
     row_sums, col_sums = _margins(cross)
     np.fill_diagonal(cross, np.inf)  # keep the zero diagonal out of the minimum
     cross_min = float(cross.min())

@@ -444,14 +444,21 @@ def damping_cases(draw):
 
 
 class TestDamping:
-    @given(damping_cases(), st.sampled_from([EXPONENTIAL, GEOMETRIC]))
+    @given(
+        damping_cases(),
+        st.sampled_from([EXPONENTIAL, GEOMETRIC]),
+        st.sampled_from([1, 7, 40, 16000]),
+    )
     @settings(max_examples=400, deadline=None)
-    def test_matches_full_matrix_formula(self, case, family):
-        # The O(n) test of the full step and the blocked evaluation of the
-        # cut give the reference's lambda; the two ways of adding up
-        # (alpha_i + dalpha_i) + (beta_j + dbeta_j) differ only by rounding.
+    def test_matches_full_matrix_formula(self, case, family, block_edges):
+        # The O(n) test of the full step agrees with the reference's up to
+        # rounding: the two ways of adding up (alpha_i + dalpha_i) +
+        # (beta_j + dbeta_j) can put a tied minimum on either side.  Small
+        # row blocks make the cut run over several blocks, the last one short.
         theta, delta = case
-        lam = bidegree.solver._damping(theta, delta, family)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bidegree.solver, "_BLOCK_EDGES", block_edges)
+            lam = bidegree.solver._damping(theta, delta, family)
         assert lam == pytest.approx(reference_damping(theta, delta, family), rel=0, abs=1e-12)
         assert 0.0 <= lam <= 1.0
 
@@ -462,6 +469,26 @@ class TestDamping:
         big = np.array([-0.9, -0.4, 0.0, -0.2, -0.6])
         lam = bidegree.solver._damping(theta, big, GEOMETRIC)
         assert 0.0 < lam < 1.0 and lam == reference_damping(theta, big, GEOMETRIC)
+
+    @pytest.mark.parametrize("step, full", [(0.01, True), (2.0, False)])
+    def test_allocates_less_than_one_pair_matrix(self, step, full):
+        # The whole-matrix reference builds several n x n temporaries; the
+        # full-step test takes a few length-n vectors and the cut a few
+        # blocks of rows, 0.66 MB here.
+        n = 1000
+        rng = np.random.default_rng(8)
+        alpha = rng.uniform(0.5, 2.0, n)
+        beta = np.append(rng.uniform(0.5, 2.0, n - 1), 0.0)
+        theta = ParamVector(alpha, beta, negated=True)
+        delta = -step * rng.uniform(0.0, 1.0, 2 * n - 1)
+        tracemalloc.start()
+        try:
+            lam = bidegree.solver._damping(theta, delta, GEOMETRIC)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (lam == 1.0) == full and lam == reference_damping(theta, delta, GEOMETRIC)
+        assert peak < (16 * n * 8 if full else 0.2 * n * n * 8)
 
     def test_sign_free_families_take_full_steps(self):
         theta = ParamVector(np.zeros(3), np.zeros(3))
@@ -519,13 +546,16 @@ class TestFitBuffers:
         other = theta.with_step(np.full(39, 0.01))
         work = bidegree.model._Workspace(20)
         bidegree.model.moment_residual(theta, g, family, work=work)
-        for point in (theta, other, other):
+        for point in (theta, other):
             fresh = bidegree.fisher.fisher_info(point, family)
-            reused = bidegree.fisher.fisher_info(point, family, work=work)
-            assert np.shares_memory(reused.cross, work.variance)
-            assert np.array_equal(reused.cross, fresh.cross)
-            assert np.array_equal(reused.row_sums, fresh.row_sums)
-            assert (reused.cross_min, reused.cross_max) == (fresh.cross_min, fresh.cross_max)
+            given_work = bidegree.fisher.fisher_info(point, family, work=work)
+            assert np.shares_memory(given_work.cross, work.variance) == (point is theta)
+            assert np.array_equal(given_work.cross, fresh.cross)
+            assert np.array_equal(given_work.row_sums, fresh.row_sums)
+            assert np.array_equal(given_work.col_sums, fresh.col_sums)
+            assert given_work.cross_min == fresh.cross_min
+            assert given_work.cross_max == fresh.cross_max
+        assert work.theta is theta  # fisher_info never writes to the workspace
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.label)
     def test_results_survive_later_fits(self, family):
