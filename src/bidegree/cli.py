@@ -37,13 +37,15 @@ class EdgeListParseError(ValueError):
 
 
 def _check_weight(family: WeightFamily, weight: float, line: int) -> None:
+    if not math.isfinite(weight):
+        raise EdgeListParseError(f"line {line}: weight {weight!r} is not finite")
     if weight < 0:
         raise EdgeListParseError(f"line {line}: negative weight {weight!r}")
     if family.integer_weights and weight != int(weight):
         raise EdgeListParseError(
             f"line {line}: weight {weight!r} is not an integer for family {family.label}"
         )
-    if math.isfinite(family.max_weight) and weight > family.max_weight:
+    if weight > family.max_weight:
         raise EdgeListParseError(
             f"line {line}: weight {weight!r} exceeds the family maximum {family.max_weight}"
         )

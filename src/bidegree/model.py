@@ -15,13 +15,13 @@ supported:
 * ``finite`` -- counts on ``{0, ..., q-1}``; stored negated, any real ``s``
   (the pmf is a truncated geometric, uniform at ``s = 0``).
 
-Each family's edge mean and variance come from one kernel that makes at most
-one exponential pass per edge and never builds an n x n x q tensor: the
-binary family takes ``t = exp(-s)``, as the n^2 product
-``exp(-alpha_i) * exp(-beta_j)`` on whole graphs; ``finite:q`` sums powers of
-``t = exp(-|s|)`` and mirrors the pmf where ``s < 0``; geometric takes one
-``expm1``; exponential is ``1/s``.  The Fisher build, the moment residual,
-the sampler, the finite warm start and the finite log-partition all run it.
+Everything that differs between the families (edge kernel, log-partition,
+inverse mean, sampler, Newton smoothness constants, ramp offset, domain and
+support) is one record per family in ``_FAMILIES``; no other code branches
+on the family.  Each kernel makes at most one exponential per edge and no
+n x n x q tensor: binary ``t = exp(-s)``, on whole graphs the n^2 product
+``exp(-alpha_i) * exp(-beta_j)``; ``finite:q`` powers of ``t = exp(-|s|)``,
+mirrored where ``s < 0``; geometric one ``expm1``; exponential ``1/s``.
 
 Every whole-graph evaluation is one pass of ``_pair_moments``, which writes
 the means and variances into two n x n arrays; row and column sums are
@@ -39,7 +39,9 @@ A workspace is made per fit and never outlives it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -57,8 +59,6 @@ __all__ = [
     "log_partition_term",
     "moment_residual",
 ]
-
-_KINDS = ("binary", "exponential", "geometric", "finite")
 
 
 class InvalidParameterError(ValueError):
@@ -78,8 +78,8 @@ class WeightFamily:
     support_size: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown family kind {self.kind!r}; expected one of {_KINDS}")
+        if self.kind not in _FAMILIES:
+            raise ValueError(f"unknown family kind {self.kind!r}; expected one of {tuple(_FAMILIES)}")
         if self.kind == "finite":
             if self.support_size is None or int(self.support_size) < 2:
                 raise ValueError("finite family requires support_size q >= 2")
@@ -126,25 +126,21 @@ class WeightFamily:
     @property
     def negated(self) -> bool:
         """True when parameters are stored sign-flipped (edge means decrease in the pair sum)."""
-        return self.kind != "binary"
+        return _maths(self).negated
 
     @property
     def positive_pair_sums(self) -> bool:
         """True when every off-diagonal pair sum must be strictly positive."""
-        return self.kind in ("exponential", "geometric")
+        return _maths(self).positive_pair_sums
 
     @property
     def integer_weights(self) -> bool:
-        return self.kind != "exponential"
+        return _maths(self).integer_weights
 
     @property
     def max_weight(self) -> float:
         """Largest support point (``inf`` for unbounded families)."""
-        if self.kind == "binary":
-            return 1.0
-        if self.kind == "finite":
-            return float(self.support_size - 1)
-        return float("inf")
+        return _maths(self).max_weight(self)
 
 
 @dataclass(frozen=True)
@@ -226,8 +222,8 @@ class BiDegree:
         b = np.array(self.b, dtype=float)
         if d.ndim != 1 or d.shape != b.shape or d.size < 2:
             raise ValueError("d and b must be 1-d arrays of equal length >= 2")
-        if np.any(d < 0) or np.any(b < 0):
-            raise ValueError("degrees must be nonnegative")
+        if not (np.all(np.isfinite(d) & (d >= 0)) and np.all(np.isfinite(b) & (b >= 0))):
+            raise ValueError("degrees must be finite and nonnegative")
         if abs(d.sum() - b.sum()) > 1e-9 * d.size:
             raise ValueError(
                 f"out- and in-degree totals disagree: {d.sum()!r} vs {b.sum()!r}"
@@ -260,16 +256,19 @@ class Graph:
 
 
 # ---------------------------------------------------------------------------
-# per-edge quantities
-#
-# ``_edge_moments`` is the one kernel for means and variances.  The
-# whole-graph functions below call it through ``_pair_moments``; the public
-# per-edge functions call it directly.
+# per-family maths: the kernels, then one record per family in ``_FAMILIES``
 
 # Binary pair sums up to this size in absolute value keep exp(-s) finite and
 # normal, so exp(-alpha_i) * exp(-beta_j) can stand in for exp(-s) without
 # overflow, underflow or an inf * 0 product.
 _EXP_SAFE = 700.0
+
+# Edges per row block where a whole-graph evaluation needs temporaries (the
+# binary and finite kernels, the damping cut).  A block's temporaries then
+# stay under 128 kB, which the C allocator serves from its free lists: with
+# blocks of 2**15 edges, a finite:4 pass at n=500 took 1200 page faults and
+# twice the time.  In-place kernels run on the whole graph at once.
+_BLOCK_EDGES = 16000
 
 
 def _power_sums(q: int, t: np.ndarray, order: int) -> list[np.ndarray]:
@@ -297,37 +296,69 @@ def _fold(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.exp(np.negative(np.abs(s, out=s), out=s), out=s), mirrored
 
 
-def _edge_moments(family: WeightFamily, s: np.ndarray, variance: np.ndarray | None = None):
-    """Edge means at pair sums ``s``, written over ``s``, and the variances,
-    written into ``variance`` when it is given.  Returns ``(s, variance)``.
+def _pair_sums_in_domain(theta: ParamVector) -> np.ndarray:
+    """The n-by-n pair sums with 1.0, in every family's domain, on the diagonal."""
+    sums = theta.pair_sums()
+    np.fill_diagonal(sums, 1.0)
+    return sums
 
-    ``s`` must lie in the family's domain.  Binary and ``finite:q`` take one
-    exponential ``t = exp(-|s|)`` per edge; for ``s < 0`` the binary mean is
-    ``t/(1+t)`` and the q-point pmf is the mirror image ``k -> q-1-k`` of the
-    pmf at ``|s|``.  Geometric takes one ``expm1`` per edge, exponential
-    none.  Those two allocate nothing; the binary and finite forms allocate
-    a few temporaries the size of ``s``.
-    """
-    if family.kind == "exponential":
-        mean = np.divide(1.0, s, out=s)
-        if variance is not None:
-            np.multiply(mean, mean, out=variance)
-        return mean, variance
-    if family.kind == "geometric":
-        with np.errstate(over="ignore"):
-            mean = np.divide(1.0, np.expm1(s, out=s), out=s)
-        if variance is not None:
-            np.multiply(np.add(mean, 1.0, out=variance), mean, out=variance)
-        return mean, variance
-    if family.kind == "binary":
-        t, mirrored = _fold(s)
-        p = t + 1.0
-        np.divide(1.0, p, out=p)  # the mean at |s|
-        low = np.multiply(t, p, out=t)  # the mean at -|s|
-        if variance is not None:
-            np.multiply(low, p, out=variance)
-        np.copyto(low, p, where=np.logical_not(mirrored, out=mirrored))
-        return low, variance
+
+def _binary_moments(family: WeightFamily, s: np.ndarray, variance=None):
+    # t = exp(-|s|): mean 1/(1+t), or t/(1+t) where s < 0; variance t/(1+t)^2
+    t, mirrored = _fold(s)
+    p = t + 1.0
+    np.divide(1.0, p, out=p)  # the mean at |s|
+    low = np.multiply(t, p, out=t)  # the mean at -|s|
+    if variance is not None:
+        np.multiply(low, p, out=variance)
+    np.copyto(low, p, where=np.logical_not(mirrored, out=mirrored))
+    return low, variance
+
+
+def _binary_pair_moments(theta: ParamVector, mean, variance) -> bool:
+    # exp(-alpha_i - beta_j) factorises: an n^2 product (a rank-one BLAS
+    # product, exact with one term) in place of n^2 exponentials.  Then
+    # mean = 1/(1+t) and variance = t/(1+t)^2.
+    alpha, beta = theta.alpha, theta.beta
+    if np.abs(alpha).max() + np.abs(beta).max() > _EXP_SAFE:
+        return False
+    t = mean if variance is None else variance
+    np.dot(np.exp(-alpha)[:, None], np.exp(-beta)[None, :], out=t)
+    np.divide(1.0, np.add(t, 1.0, out=mean), out=mean)
+    if variance is not None:
+        np.multiply(np.multiply(t, mean, out=t), mean, out=t)
+    return True
+
+
+def _exponential_moments(family: WeightFamily, s: np.ndarray, variance=None):
+    mean = np.divide(1.0, s, out=s)
+    if variance is not None:
+        np.multiply(mean, mean, out=variance)
+    return mean, variance
+
+
+def _exponential_sample(theta: ParamVector, family: WeightFamily, gen) -> np.ndarray:
+    u = 1.0 - gen.random((theta.n, theta.n))  # uniform on (0, 1]
+    return -np.log(u) / _pair_sums_in_domain(theta)
+
+
+def _geometric_moments(family: WeightFamily, s: np.ndarray, variance=None):
+    with np.errstate(over="ignore"):
+        mean = np.divide(1.0, np.expm1(s, out=s), out=s)
+    if variance is not None:
+        np.multiply(np.add(mean, 1.0, out=variance), mean, out=variance)
+    return mean, variance
+
+
+def _geometric_lipschitz(family: WeightFamily, nm1: int, lo: float, hi: float):
+    eu = math.exp(lo)
+    base = nm1 * eu * (1.0 + eu) / (eu - 1.0) ** 2
+    return 2.0 * base, base
+
+
+def _finite_moments(family: WeightFamily, s: np.ndarray, variance=None):
+    # the finite:q pmf is t**k / Z with t = exp(-|s|) for s >= 0, and its
+    # mirror image k -> q-1-k for s < 0
     q = family.support_size
     t, mirrored = _fold(s)
     z, *raw = _power_sums(q, t, 1 if variance is None else 2)
@@ -340,48 +371,148 @@ def _edge_moments(family: WeightFamily, s: np.ndarray, variance: np.ndarray | No
     return s, variance
 
 
-def _check_domain(family: WeightFamily, s: np.ndarray) -> None:
-    if not np.all(np.isfinite(s)):
+def _finite_log_partition(family: WeightFamily, s: np.ndarray) -> np.ndarray:
+    # log sum_k exp(-s k) = log Z(exp(-|s|)) plus the largest exponent, (q-1)|s| when s < 0
+    q = family.support_size
+    z = _power_sums(q, np.exp(-np.abs(s)), 0)[0]
+    return -(np.log(z) + (q - 1) * np.maximum(-s, 0.0))
+
+
+def _finite_inverse_mean(family: WeightFamily, m: np.ndarray) -> np.ndarray:
+    # bisection: the mean decreases strictly in s
+    lo = np.full_like(m, -60.0)
+    hi = np.full_like(m, 60.0)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        above = _finite_moments(family, mid.copy())[0] > m
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _finite_sample(theta: ParamVector, family: WeightFamily, gen) -> np.ndarray:
+    # The smallest k with P(X <= k) >= u.  The mirrored index is drawn with
+    # 1 - u, so one running sum of t**k serves both signs of s.
+    q = family.support_size
+    t, mirrored = _fold(_pair_sums_in_domain(theta))
+    u = gen.random(t.shape)
+    np.subtract(1.0, u, out=u, where=mirrored)
+    u *= _power_sums(q, t, 0)[0]
+    count = np.zeros_like(u)
+    cumulative = np.zeros_like(u)
+    tk = np.ones_like(u)
+    for _ in range(q - 1):
+        cumulative += tk
+        tk *= t
+        count += cumulative < u
+    return np.subtract(q - 1, count, out=count, where=mirrored)
+
+
+def _finite_lipschitz(family: WeightFamily, nm1: int, lo: float, hi: float):
+    # No published constants: bound the mean's second derivative (the pmf's
+    # third central moment) on a grid; the mirrored pmf only flips its sign.
+    grid = np.linspace(lo, hi, 513)
+    z, m1, m2, m3 = _power_sums(family.support_size, np.exp(-np.abs(grid)), 3)
+    mean = m1 / z
+    bound = float(np.abs(m3 / z - 3.0 * mean * (m2 / z) + 2.0 * mean**3).max())
+    return 2.0 * nm1 * bound, nm1 * bound
+
+
+@dataclass(frozen=True)
+class _FamilyMaths:
+    """One weight family's maths.  The callables take the ``WeightFamily``,
+    which carries q for ``finite:q``."""
+
+    moments: Callable  # (family, s, variance=None) -> means written over s, variances
+    log_partition: Callable  # (family, s) -> per edge, in the stored frame
+    inverse_mean: Callable  # (family, m) -> the pair sum whose edge mean is m
+    sample: Callable  # (theta, family, gen) -> n x n weights, diagonal unspecified
+    lipschitz: Callable  # (family, n - 1, lo, hi) -> (K1, K2) for pair sums in [lo, hi]
+    max_weight: Callable = lambda family: math.inf  # the largest support point
+    negated: bool = True  # parameters stored sign-flipped
+    positive_pair_sums: bool = False
+    integer_weights: bool = True
+    in_place: bool = False  # the kernel allocates nothing: whole graphs need no row blocks
+    ramp_offset: float = 0.0  # of the ramp designs, whose smallest pair sum is twice it
+    pair_moments: Callable | None = None  # (theta, mean, variance) -> filled by a shortcut?
+
+
+_FAMILIES = {
+    "binary": _FamilyMaths(
+        moments=_binary_moments,
+        log_partition=lambda family, s: np.logaddexp(0.0, s),
+        inverse_mean=lambda family, m: np.log(m) - np.log1p(-m),
+        sample=lambda theta, family, gen: (
+            gen.random((theta.n, theta.n)) < _pair_moments(theta, family, var=False)[0]
+        ).astype(float),
+        lipschitz=lambda family, nm1, lo, hi: (float(nm1), nm1 / 2.0),
+        max_weight=lambda family: 1.0,
+        negated=False,
+        pair_moments=_binary_pair_moments,
+    ),
+    "exponential": _FamilyMaths(
+        moments=_exponential_moments,
+        log_partition=lambda family, s: np.log(s),
+        inverse_mean=lambda family, m: 1.0 / m,
+        sample=_exponential_sample,
+        lipschitz=lambda family, nm1, lo, hi: (2.0 * nm1 / lo**3, nm1 / lo**3),
+        positive_pair_sums=True,
+        integer_weights=False,
+        in_place=True,
+        ramp_offset=1.0,
+    ),
+    "geometric": _FamilyMaths(
+        moments=_geometric_moments,
+        log_partition=lambda family, s: np.log(-np.expm1(-s)),
+        inverse_mean=lambda family, m: np.log1p(1.0 / m),
+        sample=lambda theta, family, gen: np.floor(_exponential_sample(theta, family, gen)),
+        lipschitz=_geometric_lipschitz,
+        positive_pair_sums=True,
+        in_place=True,
+        ramp_offset=0.2,
+    ),
+    "finite": _FamilyMaths(
+        moments=_finite_moments,
+        log_partition=_finite_log_partition,
+        inverse_mean=_finite_inverse_mean,
+        sample=_finite_sample,
+        lipschitz=_finite_lipschitz,
+        max_weight=lambda family: float(family.support_size - 1),
+    ),
+}
+
+
+def _maths(family: WeightFamily) -> _FamilyMaths:
+    """The record of the family's kind."""
+    return _FAMILIES[family.kind]
+
+
+# ---------------------------------------------------------------------------
+# per-edge quantities
+
+
+def _per_edge(family: WeightFamily, s, evaluate):
+    """``evaluate(record, pair sums)`` on a checked copy of ``s``; a float for a scalar."""
+    arr = np.array(s, dtype=float, ndmin=1)  # a copy, which the kernel overwrites
+    if not np.all(np.isfinite(arr)):
         raise InvalidParameterError(f"pair sums must be finite for the {family.kind} family")
-    if family.positive_pair_sums and np.any(s <= 0.0):
-        bad = float(np.min(s))
+    if family.positive_pair_sums and np.any(arr <= 0.0):
+        bad = float(np.min(arr))
         raise InvalidParameterError(
             f"pair sums must be positive for the {family.kind} family (got {bad})"
         )
-
-
-def _scalar_like(template, value: np.ndarray):
-    return float(value) if np.ndim(template) == 0 else value
-
-
-def _per_edge(family: WeightFamily, s, var: bool):
-    arr = np.array(s, dtype=float, ndmin=1)  # a copy, which the kernel overwrites
-    _check_domain(family, arr)
-    out = _edge_moments(family, arr, np.empty_like(arr) if var else None)[1 if var else 0]
+    out = evaluate(_maths(family), arr)
     return float(out[0]) if np.ndim(s) == 0 else out
 
 
 def edge_mean(family: WeightFamily, s):
     """Expected edge weight at pair sum ``s`` (elementwise over arrays)."""
-    return _per_edge(family, s, var=False)
+    return _per_edge(family, s, lambda rec, x: rec.moments(family, x)[0])
 
 
 def edge_variance(family: WeightFamily, s):
     """Edge-weight variance at pair sum ``s``; equals the Fisher cross entry."""
-    return _per_edge(family, s, var=True)
-
-
-def _log_partition(family: WeightFamily, s: np.ndarray) -> np.ndarray:
-    if family.kind == "binary":
-        return np.logaddexp(0.0, s)
-    if family.kind == "exponential":
-        return np.log(s)
-    if family.kind == "geometric":
-        return np.log(-np.expm1(-s))
-    # log sum_k exp(-s k) = log Z(exp(-|s|)) plus the largest exponent, (q-1)|s| when s < 0
-    q = family.support_size
-    z = _power_sums(q, np.exp(-np.abs(s)), 0)[0]
-    return -(np.log(z) + (q - 1) * np.maximum(-s, 0.0))
+    return _per_edge(family, s, lambda rec, x: rec.moments(family, x, np.empty_like(x))[1])
 
 
 def log_partition_term(family: WeightFamily, s):
@@ -391,9 +522,7 @@ def log_partition_term(family: WeightFamily, s):
     ``+edge_mean`` as well for the negated families, so the gradient of
     :func:`log_likelihood` is exactly :func:`moment_residual`.
     """
-    arr = np.asarray(s, dtype=float)
-    _check_domain(family, arr)
-    return _scalar_like(s, _log_partition(family, arr))
+    return _per_edge(family, s, lambda rec, x: rec.log_partition(family, x))
 
 
 # ---------------------------------------------------------------------------
@@ -442,16 +571,6 @@ def validate_params(theta: ParamVector, family: WeightFamily) -> None:
             )
 
 
-# Edges per row block where a whole-graph evaluation needs temporaries (the
-# binary and finite kernels, the damping cut).  A block's temporaries then
-# stay under 128 kB, which the C allocator serves from its free lists: with
-# blocks of 2**15 edges, a finite:4 pass at n=500 took 1200 page faults and
-# twice the time.  The exponential and geometric kernels work in place and
-# run on the whole graph at once.
-_BLOCK_EDGES = 16000
-_IN_PLACE_KINDS = ("exponential", "geometric")
-
-
 class _Workspace:
     """The two n x n buffers that every whole-graph pass of one fit writes
     into, and the parameters whose edge variances the last pass left there.
@@ -489,24 +608,15 @@ def _pair_moments(
     if out is None:
         out = (np.empty((n, n)), np.empty((n, n)) if var else None)
     mean, variance = out[0], (out[1] if var else None)
-    alpha, beta = theta.alpha, theta.beta
-    if family.kind == "binary" and np.abs(alpha).max() + np.abs(beta).max() <= _EXP_SAFE:
-        # exp(-alpha_i - beta_j) factorises: an n^2 product (a rank-one BLAS
-        # product, exact with one term) in place of n^2 exponentials.  Then
-        # mean = 1/(1+t) and variance = t/(1+t)^2.
-        t = mean if variance is None else variance
-        np.dot(np.exp(-alpha)[:, None], np.exp(-beta)[None, :], out=t)
-        np.divide(1.0, np.add(t, 1.0, out=mean), out=mean)
-        if variance is not None:
-            np.multiply(np.multiply(t, mean, out=t), mean, out=t)
-    else:
-        rows = n if family.kind in _IN_PLACE_KINDS else max(1, _BLOCK_EDGES // n)
+    maths = _maths(family)
+    if not (maths.pair_moments and maths.pair_moments(theta, mean, variance)):
+        rows = n if maths.in_place else max(1, _BLOCK_EDGES // n)
         for lo in range(0, n, rows):
             block = slice(lo, lo + rows)
-            s = np.add(alpha[block, None], beta, out=mean[block])
+            s = np.add(theta.alpha[block, None], theta.beta, out=mean[block])
             # placeholder in every family's domain; zeroed below
             np.fill_diagonal(s[:, block], 1.0)
-            _edge_moments(family, s, None if variance is None else variance[block])
+            maths.moments(family, s, None if variance is None else variance[block])
     np.fill_diagonal(mean, 0.0)
     if var:
         np.fill_diagonal(variance, 0.0)
@@ -566,8 +676,6 @@ def log_likelihood(theta: ParamVector, g: BiDegree, family: WeightFamily) -> flo
     validate_params(theta, family)
     if g.n != theta.n:
         raise ValueError(f"degree length {g.n} does not match parameter length {theta.n}")
-    sums = theta.pair_sums()
-    np.fill_diagonal(sums, 1.0)  # placeholder in every family's domain; zeroed below
-    z = _log_partition(family, sums)
+    z = _maths(family).log_partition(family, _pair_sums_in_domain(theta))
     np.fill_diagonal(z, 0.0)
     return float(theta.alpha @ g.d + theta.beta @ g.b - z.sum())

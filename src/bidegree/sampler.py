@@ -5,6 +5,8 @@ seed)``.  The generator is numpy's counter-based Philox keyed directly by the
 64-bit seed, and replication ``r`` of a study derives its stream seed as
 ``derive_seed(base_seed, r)`` -- a splitmix64 hash mix -- so replications are
 independent, reproducible, and assignable to workers in any order.
+The draws and ramp offsets themselves are per-family fields of the family
+records in :mod:`bidegree.model`.
 """
 
 from __future__ import annotations
@@ -14,15 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    Graph,
-    ParamVector,
-    WeightFamily,
-    _fold,
-    _pair_moments,
-    _power_sums,
-    validate_params,
-)
+from .model import Graph, ParamVector, WeightFamily, _maths, validate_params
 
 __all__ = [
     "SimDesign",
@@ -33,10 +27,6 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-
-# Per-family additive offset of the linear ramp; keeps rate-family pair sums
-# bounded away from zero (minimum pair sum is twice the offset).
-_RAMP_OFFSET = {"binary": 0.0, "exponential": 1.0, "geometric": 0.2, "finite": 0.0}
 
 _RAMP_RULES = ("zero", "loglog", "sqrtlog", "log", "sqrtn")
 
@@ -92,9 +82,10 @@ class SimDesign:
 
 
 def design_params(design: SimDesign) -> ParamVector:
-    """Parameters ``offset + (n-1-i) * L/(n-1)``, mirrored onto beta, beta[-1] = 0."""
+    """Parameters ``offset + (n-1-i) * L/(n-1)``, mirrored onto beta, beta[-1] = 0;
+    the family's offset keeps rate-family pair sums (at least twice it) off zero."""
     n, L = design.n, design.L
-    offset = _RAMP_OFFSET[design.family.kind]
+    offset = _maths(design.family).ramp_offset
     idx = np.arange(n, dtype=float)
     alpha = offset + (n - 1 - idx) * L / (n - 1)
     beta = alpha.copy()
@@ -105,47 +96,12 @@ def design_params(design: SimDesign) -> ParamVector:
 def sample_graph(theta: ParamVector, family: WeightFamily, seed: int) -> Graph:
     """Draw one graph: n(n-1) independent edges at the given parameters.
 
-    Inverse-CDF sampling throughout: exponential weights are ``-log(U)/s``,
-    geometric weights ``floor(-log(U)/s)`` with U uniform on (0, 1], finite
-    weights by inverting the exact pmf.  Deterministic given the seed.
+    The family's record draws by inverse-CDF sampling: binary ``U < p`` with
+    ``p`` from the edge kernel, exponential ``-log(U)/s``, geometric
+    ``floor(-log(U)/s)`` with U uniform on (0, 1], finite by inverting the
+    exact pmf.  Deterministic given the seed.
     """
     validate_params(theta, family)
-    n = theta.n
-    gen = _rng(seed)
-    if family.kind == "binary":
-        p, _ = _pair_moments(theta, family, var=False)
-        weights = (gen.random((n, n)) < p).astype(float)
-    else:
-        sums = theta.pair_sums()
-        np.fill_diagonal(sums, 1.0)  # placeholder; the diagonal is zeroed below
-        if family.kind == "exponential":
-            u = 1.0 - gen.random((n, n))
-            weights = -np.log(u) / sums
-        elif family.kind == "geometric":
-            u = 1.0 - gen.random((n, n))
-            weights = np.floor(-np.log(u) / sums)
-        else:
-            weights = _finite_inverse_cdf(family.support_size, sums, gen.random((n, n)))
+    weights = _maths(family).sample(theta, family, _rng(seed))
     np.fill_diagonal(weights, 0.0)
     return Graph(weights)
-
-
-def _finite_inverse_cdf(q: int, s: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The smallest k with ``P(X <= k) >= u`` under the q-point pmf at ``s``.
-
-    With ``t = exp(-|s|)`` the pmf is ``t**k / Z`` for ``s >= 0`` and its
-    mirror image ``k -> q-1-k`` for ``s < 0``; the mirrored index is drawn
-    with ``1 - u``, so one running sum of ``t**k`` serves both signs.  ``s``
-    and ``u`` are overwritten.
-    """
-    t, mirrored = _fold(s)
-    np.subtract(1.0, u, out=u, where=mirrored)
-    u *= _power_sums(q, t, 0)[0]
-    count = np.zeros_like(u)
-    cumulative = np.zeros_like(u)
-    tk = np.ones_like(u)
-    for _ in range(q - 1):
-        cumulative += tk
-        tk *= t
-        count += cumulative < u
-    return np.subtract(q - 1, count, out=count, where=mirrored)

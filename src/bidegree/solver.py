@@ -20,6 +20,9 @@ test, but its failure has an observable signature: the iterates run off to
 infinity while the residual stalls.  ``newton_fit`` combines a cheap
 coordinate-boundary screen with that divergence heuristic to classify each
 fit as Exists / NonExistent / Undetermined.
+
+The warm start and the contraction diagnostics take the family's inverse
+mean and smoothness constants from its record in :mod:`bidegree.model`.
 """
 
 from __future__ import annotations
@@ -43,9 +46,8 @@ from .model import (
     InvalidParameterError,
     ParamVector,
     WeightFamily,
-    _edge_moments,
+    _maths,
     _min_pair_sum,
-    _power_sums,
     _Workspace,
     moment_residual,
     validate_params,
@@ -83,8 +85,8 @@ class FitConfig:
     ``step_mode`` is "exact" (the Fisher system solved to 1e-13 relative
     residual by conjugate gradients preconditioned by the approximate
     inverse, O(n^2) per step) or "sapprox" (relaxed approximate inverse
-    step, O(n) per step after the O(n^2) Fisher build, optionally polished
-    by one exact solve at the end).
+    step, O(n) per step after the O(n^2) Fisher build, then polished by one
+    exact solve at the end).
     """
 
     step_mode: str = "exact"
@@ -92,7 +94,6 @@ class FitConfig:
     tol_step: float = 1e-10
     max_iter: int = 100
     divergence_bound: float = 30.0
-    polish: bool = True
 
     def __post_init__(self) -> None:
         if self.step_mode not in ("exact", "sapprox"):
@@ -158,68 +159,35 @@ def existence_check(g: BiDegree, family: WeightFamily, n: int | None = None) -> 
     """
     n = g.n if n is None else n
     hi = family.max_weight * (n - 1)
-    values = np.concatenate([g.d, g.b])
-    if np.any(values < 0) or (math.isfinite(hi) and np.any(values > hi)):
+    values = np.concatenate([g.d, g.b])  # finite; hi is inf for the rate families
+    if np.any(values < 0) or np.any(values > hi):
         return Feasibility.INFEASIBLE
-    at_zero = np.any(values == 0)
-    at_top = math.isfinite(hi) and np.any(values == hi)
-    if at_zero or at_top:
+    if np.any(values == 0) or np.any(values == hi):
         return Feasibility.BOUNDARY
     return Feasibility.FEASIBLE
 
 
-def _finite_mean_inverse(family: WeightFamily, targets: np.ndarray) -> np.ndarray:
-    """Invert the strictly decreasing finite-family mean by bisection."""
-    lo = np.full_like(targets, -60.0)
-    hi = np.full_like(targets, 60.0)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        above = _edge_moments(family, mid.copy())[0] > targets
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    return 0.5 * (lo + hi)
-
-
 def default_start(g: BiDegree, family: WeightFamily) -> ParamVector:
-    """Moment-matched warm start with ``beta[-1] = 0``.
+    """Moment-matched warm start with ``beta[-1] = 0``, through the family's
+    inverse mean.
 
-    Binary: logits of clamped degree ratios, in-effects re-centered on vertex
-    n.  Finite: the same construction through the numeric inverse of the
-    family mean.  Rate families: half the inverse mean of
-    ``max(degree, 1/2) / (n-1)`` per side -- ``(n-1) / (2 max(degree, 1/2))``
-    for exponential, ``log1p((n-1) / max(degree, 1/2)) / 2`` for geometric --
-    with the re-centering shift moved into alpha so every pair sum stays
-    positive.
+    Bounded families: the inverse mean of ``degree / (n-1)`` clipped to the
+    largest weight times ``[1/(2(n-1)), 1 - 1/(2(n-1))]``, in-effects
+    re-centred on vertex n.  Rate families: half the inverse mean of
+    ``max(degree, 1/2) / (n-1)`` per side, with the re-centring shift moved
+    into alpha so every pair sum stays positive.  (Geometric pair sums from
+    the exponential inverse would underflow the variances and stall fits.)
     """
-    n = g.n
-    nm1 = n - 1
-    lo = 1.0 / (2.0 * nm1)
-    if family.kind == "binary":
-        rd = np.clip(g.d / nm1, lo, 1.0 - lo)
-        rb = np.clip(g.b / nm1, lo, 1.0 - lo)
-        alpha = np.log(rd) - np.log1p(-rd)
-        beta_raw = np.log(rb) - np.log1p(-rb)
-        return ParamVector(alpha, beta_raw - beta_raw[-1], negated=False)
-    if family.kind == "finite":
-        top = family.max_weight
-        rd = np.clip(g.d / nm1, top * lo, top * (1.0 - lo))
-        rb = np.clip(g.b / nm1, top * lo, top * (1.0 - lo))
-        alpha = _finite_mean_inverse(family, rd)
-        beta_raw = _finite_mean_inverse(family, rb)
-        return ParamVector(alpha, beta_raw - beta_raw[-1], negated=True)
-    eps = 0.5
-    if family.kind == "geometric":
-        # The geometric mean 1/expm1(s) inverts to log1p(1/mean).  The
-        # exponential family's inverse would put small-degree pair sums far
-        # above it, where the variances underflow and the fit stalls until
-        # the divergence heuristic gives up on degrees that have an MLE.
-        alpha = 0.5 * np.log1p(nm1 / np.maximum(g.d, eps))
-        beta_raw = 0.5 * np.log1p(nm1 / np.maximum(g.b, eps))
-    else:
-        alpha = nm1 / (2.0 * np.maximum(g.d, eps))
-        beta_raw = nm1 / (2.0 * np.maximum(g.b, eps))
-    shift = beta_raw[-1]
-    return ParamVector(alpha + shift, beta_raw - shift, negated=True)
+    nm1 = g.n - 1
+    inverse_mean = _maths(family).inverse_mean
+    if family.positive_pair_sums:
+        alpha, beta = (0.5 * inverse_mean(family, np.maximum(x, 0.5) / nm1) for x in (g.d, g.b))
+        return ParamVector(alpha + beta[-1], beta - beta[-1], negated=True)
+    top, lo = family.max_weight, 1.0 / (2.0 * nm1)
+    alpha, beta = (
+        inverse_mean(family, np.clip(x / nm1, top * lo, top * (1.0 - lo))) for x in (g.d, g.b)
+    )
+    return ParamVector(alpha, beta - beta[-1], negated=family.negated)
 
 
 # ---------------------------------------------------------------------------
@@ -297,29 +265,20 @@ def newton_fit(
     trace: list[tuple[float, float]] = []
     residuals: list[float] = []
     existence = Existence.UNDETERMINED
-    converged = False
     iterations = 0
     residual = moment_residual(theta, g, family, work=work)
     resid_norm = float(np.abs(residual).max())
 
     for iterations in range(1, cfg.max_iter + 1):
         residuals.append(resid_norm)
-        theta_norm = float(np.abs(theta.free).max())
+        beyond = float(np.abs(theta.free).max()) > cfg.divergence_bound
         if not math.isfinite(resid_norm):
-            existence = (
-                Existence.NON_EXISTENT
-                if theta_norm > cfg.divergence_bound
-                else Existence.UNDETERMINED
-            )
+            existence = Existence.NON_EXISTENT if beyond else Existence.UNDETERMINED
             break
         if resid_norm <= tol_residual:
-            if theta_norm > cfg.divergence_bound:
-                existence = Existence.NON_EXISTENT
-            else:
-                converged = True
-                existence = Existence.EXISTS
+            existence = Existence.NON_EXISTENT if beyond else Existence.EXISTS
             break
-        if theta_norm > cfg.divergence_bound and _stagnant(residuals):
+        if beyond and _stagnant(residuals):
             existence = Existence.NON_EXISTENT
             break
         try:
@@ -329,11 +288,7 @@ def newton_fit(
             else:
                 raw = _SAPPROX_RELAX * apply_approx_inverse(approx_inverse(fisher), residual)
         except SingularFisherError:
-            existence = (
-                Existence.NON_EXISTENT
-                if theta_norm > cfg.divergence_bound
-                else Existence.UNDETERMINED
-            )
+            existence = Existence.NON_EXISTENT if beyond else Existence.UNDETERMINED
             break
         delta = sign * raw
         cap = min(1.0, _MAX_STEP / max(float(np.abs(delta).max()), 1e-300))
@@ -360,7 +315,6 @@ def newton_fit(
         if step_norm <= cfg.tol_step:
             residuals.append(resid_norm)
             if resid_norm <= tol_residual and float(np.abs(theta.free).max()) <= cfg.divergence_bound:
-                converged = True
                 existence = Existence.EXISTS
             break
     else:  # budget exhausted without a break
@@ -370,7 +324,6 @@ def newton_fit(
 
     if (
         cfg.step_mode == "sapprox"
-        and cfg.polish
         and existence is not Existence.NON_EXISTENT
         and math.isfinite(resid_norm)
     ):
@@ -389,9 +342,9 @@ def newton_fit(
         except SingularFisherError:
             pass
         if resid_norm <= tol_residual and float(np.abs(theta.free).max()) <= cfg.divergence_bound:
-            converged = True
             existence = Existence.EXISTS
 
+    converged = existence is Existence.EXISTS  # tolerance met with |theta| inside the bound
     return FitResult(theta, converged, existence, iterations, resid_norm, tuple(trace))
 
 
@@ -402,36 +355,15 @@ def newton_fit(
 def _lipschitz_constants(
     family: WeightFamily, theta0: ParamVector, n: int, r: float
 ) -> tuple[float, float, str | None]:
-    """Second-derivative (K1) and per-row (K2) smoothness constants.
-
-    Binary values are fixed; the rate families use the pair-sum margin
-    ``q_n - 4r`` and fail with a reason code when it is not positive.  The
-    finite family has no published constants, so we bound the mean's second
-    derivative (the pmf's third central moment) on a grid over the pair-sum
-    range widened by 4r.
-    """
-    nm1 = n - 1
-    if family.kind == "binary":
-        return float(nm1), nm1 / 2.0, None
-    sums = theta0.pair_sums()
-    np.fill_diagonal(sums, np.inf)
-    q_n = float(sums.min())
-    if family.kind == "finite":
-        hi = float(np.max(np.where(np.isinf(sums), -np.inf, sums)))
-        grid = np.linspace(q_n - 4.0 * r, hi + 4.0 * r, 513)
-        z, m1, m2, m3 = _power_sums(family.support_size, np.exp(-np.abs(grid)), 3)
-        mean = m1 / z
-        # the mirrored pmf at s < 0 only flips the sign of the third central moment
-        bound = float(np.abs(m3 / z - 3.0 * mean * (m2 / z) + 2.0 * mean**3).max())
-        return 2.0 * nm1 * bound, nm1 * bound, None
-    margin = q_n - 4.0 * r
-    if margin <= 0.0:
-        return math.inf, math.inf, f"pair-sum margin q_n - 4r = {margin:.3g} is not positive"
-    if family.kind == "exponential":
-        return 2.0 * nm1 / margin**3, nm1 / margin**3, None
-    eu = math.exp(margin)
-    base = nm1 * eu * (1.0 + eu) / (eu - 1.0) ** 2
-    return 2.0 * base, base, None
+    """Second-derivative (K1) and per-row (K2) smoothness constants over the
+    pair sums of theta0 widened by 4r; rate families fail with a reason code
+    when the margin ``q_n - 4r`` is not positive."""
+    lo = _min_pair_sum(theta0.alpha, theta0.beta)[0] - 4.0 * r
+    if family.positive_pair_sums and lo <= 0.0:
+        return math.inf, math.inf, f"pair-sum margin q_n - 4r = {lo:.3g} is not positive"
+    # the largest pair sum is minus the smallest of the negated effects
+    hi = -_min_pair_sum(-theta0.alpha, -theta0.beta)[0] + 4.0 * r
+    return (*_maths(family).lipschitz(family, n - 1, lo, hi), None)
 
 
 def newton_diagnostics(

@@ -60,6 +60,18 @@ class TestEdgeListIO:
         [BINARY, EXPONENTIAL, WeightFamily.geometric(), WeightFamily.finite(4)],
         ids=lambda f: f.label,
     )
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_names_its_line(self, family, weight):
+        with pytest.raises(EdgeListParseError, match=f"line 2: weight {weight} is not finite"):
+            read_edge_list(["1,2,1", f"2,3,{weight}"], family)
+        with pytest.raises(EdgeListParseError, match=f"line 3: weight {weight} is not finite"):
+            read_dense(["0,1,0", "0,0,1", f"{weight},0,0"], family)
+
+    @pytest.mark.parametrize(
+        "family",
+        [BINARY, EXPONENTIAL, WeightFamily.geometric(), WeightFamily.finite(4)],
+        ids=lambda f: f.label,
+    )
     def test_round_trip_lossless_all_families(self, family, tmp_path):
         theta = design_params(SimDesign(family, 12, 0.7))
         graph = sample_graph(theta, family, 3)

@@ -24,7 +24,7 @@ from bidegree.model import (
     moment_residual,
     validate_params,
 )
-from bidegree.model import _min_pair_sum, _pair_moments
+from bidegree.model import _maths, _min_pair_sum, _pair_moments
 
 BINARY = WeightFamily.binary()
 EXPONENTIAL = WeightFamily.exponential()
@@ -230,6 +230,29 @@ class TestEdgeKernel:
         assert_matches_mp(BINARY, s[outer], mean[outer], var[outer], atol=1e-300)
         assert np.array_equal(_pair_moments(theta, BINARY, var=False)[0], mean)
 
+    @pytest.mark.parametrize(
+        "family, low, high",
+        [
+            (BINARY, -30.0, 30.0),
+            (EXPONENTIAL, 1e-8, 1e8),
+            (GEOMETRIC, 1e-8, 700.0),
+            (WeightFamily.finite(2), -30.0, 30.0),
+            (WeightFamily.finite(4), -30.0, 30.0),
+            (WeightFamily.finite(7), -30.0, 30.0),
+        ],
+        ids=lambda v: v.label if isinstance(v, WeightFamily) else "",
+    )
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_inverse_mean_round_trip(self, family, low, high, data):
+        # a mean rounded by a few ulps moves s by about that much over the
+        # slope of the mean, |dm/ds| = variance
+        s = np.array(data.draw(pair_sum_lists(low, high)))
+        mean, var = edge_mean(family, s), edge_variance(family, s)
+        back = _maths(family).inverse_mean(family, mean)
+        tol = 8 * np.finfo(float).eps * (np.abs(mean) / var + np.abs(s))
+        assert np.all(np.abs(back - s) <= tol), (family.label, s, back)
+
     def test_scalar_in_scalar_out(self):
         for fam in ALL_FAMILIES:
             assert isinstance(edge_mean(fam, 0.7), float)
@@ -390,6 +413,18 @@ class TestBiDegree:
     def test_nonnegative(self):
         with pytest.raises(ValueError):
             BiDegree([-1.0, 1.0], [0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "d, b",
+        [
+            ([math.nan, 1.0, 1.0], [1.0, 1.0, math.nan]),  # nan totals slip past the sum check
+            ([math.inf, 1.0], [math.inf, 1.0]),
+            ([1.0, 1.0], [2.0, math.nan]),
+        ],
+    )
+    def test_non_finite_rejected(self, d, b):
+        with pytest.raises(ValueError, match="degrees must be finite and nonnegative"):
+            BiDegree(d, b)
 
 
 class TestBiDegrees:

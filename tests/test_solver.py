@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.optimize import brentq
 from hypothesis import strategies as st
 
 import bidegree.fisher
@@ -17,6 +18,7 @@ from bidegree.model import (
     ParamVector,
     WeightFamily,
     bi_degrees,
+    edge_mean,
     expected_degrees,
 )
 from bidegree.sampler import SimDesign, derive_seed, design_params, ramp_magnitude, sample_graph
@@ -42,6 +44,30 @@ DESIGN_L = {"binary": 0.8, "exponential": 1.5, "geometric": 0.8, "finite:4": 1.0
 def sampled_instance(family, n, seed):
     theta = design_params(SimDesign(family, n, DESIGN_L[family.label]))
     return theta, bi_degrees(sample_graph(theta, family, seed))
+
+
+def closed_form_start(g, family):
+    """The warm start written out per family: logits (binary) or a scalar
+    root-finder (finite) of the clipped degree ratios, re-centred on vertex n;
+    half the closed-form inverse mean per side (rate families), with the
+    shift in alpha."""
+    nm1 = g.n - 1
+    if family.positive_pair_sums:
+        d, b = np.maximum(g.d, 0.5), np.maximum(g.b, 0.5)
+        if family.kind == "exponential":
+            alpha, beta = nm1 / (2.0 * d), nm1 / (2.0 * b)
+        else:
+            alpha, beta = 0.5 * np.log1p(nm1 / d), 0.5 * np.log1p(nm1 / b)
+        return alpha + beta[-1], beta - beta[-1]
+    top, lo = family.max_weight, 1.0 / (2.0 * nm1)
+    rd, rb = (np.clip(x / nm1, top * lo, top * (1.0 - lo)) for x in (g.d, g.b))
+    if family.kind == "binary":
+        alpha, beta = np.log(rd) - np.log1p(-rd), np.log(rb) - np.log1p(-rb)
+    else:
+        def inverse(r):
+            return brentq(lambda s: edge_mean(family, s) - r, -60.0, 60.0, xtol=1e-15)
+        alpha, beta = np.array([inverse(r) for r in rd]), np.array([inverse(r) for r in rb])
+    return alpha, beta - beta[-1]
 
 
 class TestExistenceCheck:
@@ -79,6 +105,25 @@ class TestDefaultStart:
             sums = theta0.pair_sums()
             np.fill_diagonal(sums, np.inf)
             assert sums.min() > 0.0
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.label)
+    @pytest.mark.parametrize("empty_vertex", [False, True])
+    def test_start_matches_closed_forms(self, family, empty_vertex):
+        _, g = sampled_instance(family, 25, 3)
+        if empty_vertex:  # move vertex 1's out-degree to vertex 2: both clips engage
+            d = g.d.copy()
+            d[1] += d[0]
+            d[0] = 0.0
+            g = BiDegree(d, g.b)
+        alpha, beta = closed_form_start(g, family)
+        theta0 = default_start(g, family)
+        if family.kind == "binary":
+            assert np.array_equal(theta0.alpha, alpha) and np.array_equal(theta0.beta, beta)
+        else:
+            scale = np.abs(np.concatenate([alpha, beta])).max()
+            tol = 1e-12 if family.kind == "finite" else 4 * np.finfo(float).eps * scale
+            assert np.abs(theta0.alpha - alpha).max() <= tol
+            assert np.abs(theta0.beta - beta).max() <= tol
 
     def test_flat_binary_starts_at_zero(self):
         g = BiDegree(np.full(11, 5.0), np.full(11, 5.0))
