@@ -420,21 +420,21 @@ def _finite_lipschitz(family: WeightFamily, nm1: int, lo: float, hi: float):
 
 @dataclass(frozen=True)
 class _FamilyMaths:
-    """One weight family's maths.  The callables take the ``WeightFamily``,
-    which carries q for ``finite:q``."""
+    """One weight family's maths.  The comments give each callable's
+    arguments; ``family`` carries q for ``finite:q``."""
 
-    moments: Callable  # (family, s, variance=None) -> means written over s, variances
+    moments: Callable  # (family, s, variance=None) -> (mean, variance); the means overwrite s
     log_partition: Callable  # (family, s) -> per edge, in the stored frame
     inverse_mean: Callable  # (family, m) -> the pair sum whose edge mean is m
     sample: Callable  # (theta, family, gen) -> n x n weights, diagonal unspecified
     lipschitz: Callable  # (family, n - 1, lo, hi) -> (K1, K2) for pair sums in [lo, hi]
-    max_weight: Callable = lambda family: math.inf  # the largest support point
+    max_weight: Callable = lambda family: math.inf  # (family) -> the largest support point
     negated: bool = True  # parameters stored sign-flipped
     positive_pair_sums: bool = False
     integer_weights: bool = True
     in_place: bool = False  # the kernel allocates nothing: whole graphs need no row blocks
     ramp_offset: float = 0.0  # of the ramp designs, whose smallest pair sum is twice it
-    pair_moments: Callable | None = None  # (theta, mean, variance) -> filled by a shortcut?
+    pair_moments: Callable | None = None  # (theta, mean, variance) -> True if it filled them
 
 
 _FAMILIES = {
