@@ -379,15 +379,31 @@ def _finite_log_partition(family: WeightFamily, s: np.ndarray) -> np.ndarray:
 
 
 def _finite_inverse_mean(family: WeightFamily, m: np.ndarray) -> np.ndarray:
-    # bisection: the mean decreases strictly in s
+    # Bracketed Newton from the logit of m/(q-1), exact at q = 2.  The mean
+    # decreases strictly in s with slope -variance; each evaluation shrinks
+    # the bracket [-60, 60] to the root's side, and a Newton point outside
+    # the closed bracket (a strict test would bisect away an exactly
+    # converged entry) is replaced by the midpoint.  An entry is done when
+    # its step is within a few ulps of the mean's own rounding, eps*m/var.
+    q = family.support_size
     lo = np.full_like(m, -60.0)
     hi = np.full_like(m, 60.0)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        above = _finite_moments(family, mid.copy())[0] > m
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    return 0.5 * (lo + hi)
+    with np.errstate(divide="ignore"):
+        s = np.clip(np.log(q - 1 - m) - np.log(m), lo, hi)
+    variance = np.empty_like(m)
+    for _ in range(100):
+        mean = _finite_moments(family, s.copy(), variance)[0]
+        above = mean > m
+        np.copyto(lo, s, where=above)
+        np.copyto(hi, s, where=~above)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = s + (mean - m) / variance
+            rounding = 4 * np.finfo(float).eps * (np.abs(m) / variance + np.abs(s))
+        step = np.where((lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi)) - s
+        s += step
+        if np.all(np.abs(step) <= rounding):
+            break
+    return s
 
 
 def _finite_sample(theta: ParamVector, family: WeightFamily, gen) -> np.ndarray:

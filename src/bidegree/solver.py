@@ -2,10 +2,10 @@
 
 The likelihood equations say the fitted expected degrees must reproduce the
 observed ones, i.e. the moment residual ``F`` vanishes at the MLE.  Newton
-iterates solve the structured Fisher system exactly (conjugate gradients
-preconditioned by the approximate inverse, O(n^2) per step) or take the
-cheap approximate-inverse step; both drive ``F`` to zero whenever the MLE
-exists.
+iterates solve the structured Fisher system exactly (conjugate gradients on
+the Schur complement of the in-effect block, preconditioned by the
+approximate inverse, O(n^2) per step) or take the cheap approximate-inverse
+step; both drive ``F`` to zero whenever the MLE exists.
 
 Each trial step costs one pass over the edges: the residual pass also
 leaves the edge variances in the fit's workspace (two n x n buffers
@@ -83,10 +83,10 @@ class FitConfig:
     """Solver knobs.  ``tol_residual=None`` means ``1e-10 * (n - 1)``.
 
     ``step_mode`` is "exact" (the Fisher system solved to 1e-13 relative
-    residual by conjugate gradients preconditioned by the approximate
-    inverse, O(n^2) per step) or "sapprox" (relaxed approximate inverse
-    step, O(n) per step after the O(n^2) Fisher build, then polished by one
-    exact solve at the end).
+    residual by conjugate gradients on the Schur complement of the in-effect
+    block, preconditioned by the approximate inverse, O(n^2) per step) or
+    "sapprox" (relaxed approximate inverse step, O(n) per step after the
+    O(n^2) Fisher build, then polished by one exact solve at the end).
     """
 
     step_mode: str = "exact"

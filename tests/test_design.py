@@ -1,11 +1,16 @@
-"""Each weight family's maths lives in one record of ``bidegree.model``'s
-family table, so no other code dispatches on ``WeightFamily.kind``.
+"""Two design rules of ``src/bidegree``, checked by scanning its syntax trees.
 
-The scan fails on a comparison, a subscript, a ``match`` or a ``.get``
-lookup on a ``.kind`` attribute anywhere in ``src/bidegree`` outside the
-table lookup and ``WeightFamily``'s own validation, parse and label.  Naming
-the kind in an error message is fine.  The test oracles under ``tests/``
-keep their own per-family formulas on purpose and are not scanned.
+Each weight family's maths lives in one record of ``bidegree.model``'s
+family table, so no other code dispatches on ``WeightFamily.kind``.  The
+scan fails on a comparison, a subscript, a ``match`` or a ``.get`` lookup on
+a ``.kind`` attribute anywhere in ``src/bidegree`` outside the table lookup
+and ``WeightFamily``'s own validation, parse and label.  Naming the kind in
+an error message is fine.  The test oracles under ``tests/`` keep their own
+per-family formulas on purpose and are not scanned.
+
+A Newton step costs O(n^2) and never an O(n^3) dense solve, so no code uses
+a ``linalg`` module (``np.linalg.*``, ``scipy.linalg.*``, or an import of
+one) outside ``fisher.dense_inverse``, the dense test oracle.
 """
 
 import ast
@@ -21,36 +26,62 @@ ALLOWED = {
     ("model.py", "WeightFamily.parse"),
     ("model.py", "WeightFamily.label"),
 }
+LINALG_ALLOWED = {("fisher.py", "dense_inverse")}
 
 
 def _is_kind(node) -> bool:
     return isinstance(node, ast.Attribute) and node.attr == "kind"
 
 
-def kind_dispatches(source: str) -> list[tuple[str, int]]:
-    """``(enclosing function, line)`` of every dispatch on a ``.kind`` attribute."""
+def _scan(source: str, matches) -> list[tuple[str, int]]:
+    """``(enclosing function, line)`` of every node for which ``matches`` holds."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
-        if (
-            (isinstance(node, ast.Compare) and any(map(_is_kind, [node.left, *node.comparators])))
-            or (isinstance(node, ast.Subscript) and _is_kind(node.slice))
-            or (isinstance(node, ast.Match) and _is_kind(node.subject))
-            or (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "get"
-                and any(map(_is_kind, node.args))
-            )
-        ):
+        if matches(node):
             found.append((scope, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(ast.parse(source), "")
     return found
+
+
+def _is_kind_dispatch(node) -> bool:
+    return (
+        (isinstance(node, ast.Compare) and any(map(_is_kind, [node.left, *node.comparators])))
+        or (isinstance(node, ast.Subscript) and _is_kind(node.slice))
+        or (isinstance(node, ast.Match) and _is_kind(node.subject))
+        or (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get"
+            and any(map(_is_kind, node.args))
+        )
+    )
+
+
+def _is_linalg_use(node) -> bool:
+    if isinstance(node, ast.Attribute):
+        return node.attr == "linalg"
+    if isinstance(node, ast.Import):
+        return any("linalg" in alias.name.split(".") for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = (node.module or "").split(".")
+        return "linalg" in module or any(alias.name == "linalg" for alias in node.names)
+    return False
+
+
+def kind_dispatches(source: str) -> list[tuple[str, int]]:
+    """``(enclosing function, line)`` of every dispatch on a ``.kind`` attribute."""
+    return _scan(source, _is_kind_dispatch)
+
+
+def linalg_uses(source: str) -> list[tuple[str, int]]:
+    """``(enclosing function, line)`` of every use or import of a ``linalg`` module."""
+    return _scan(source, _is_linalg_use)
 
 
 def test_scanner_sees_dispatch_but_not_messages():
@@ -78,3 +109,27 @@ def test_no_family_dispatch_outside_the_table():
     assert not stray, "dispatch on family.kind outside the family table: " + ", ".join(stray)
     # the table lookup itself is found, so the scan covers model.py
     assert ("model.py", "_maths") in seen
+
+
+def test_scanner_sees_linalg_uses():
+    source = '''
+import numpy.linalg
+from scipy import linalg
+from scipy.linalg import cho_solve
+def f(np, scipy, a, b):
+    x = np.linalg.solve(a, b)
+    return scipy.linalg.lu_factor(a), linalg, x.linalg_free
+'''
+    assert [line for _, line in linalg_uses(source)] == [2, 3, 4, 6, 7]
+
+
+def test_no_dense_linear_algebra_outside_the_oracle():
+    stray, seen = [], set()
+    for path in SOURCES:
+        for scope, line in linalg_uses(path.read_text()):
+            seen.add((path.name, scope))
+            if (path.name, scope) not in LINALG_ALLOWED:
+                stray.append(f"{path.name}:{line} in {scope or 'module'}")
+    assert not stray, "linalg use outside fisher.dense_inverse: " + ", ".join(stray)
+    # the oracle's own use is found, so the scan covers fisher.py
+    assert ("fisher.py", "dense_inverse") in seen

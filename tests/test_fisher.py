@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,8 +21,9 @@ from bidegree.fisher import (
     materialize_approx,
     solve_structured,
 )
-from bidegree.model import ParamVector, WeightFamily
-from bidegree.sampler import SimDesign, design_params
+from bidegree.model import ParamVector, WeightFamily, bi_degrees, moment_residual
+from bidegree.sampler import SimDesign, design_params, ramp_magnitude, sample_graph
+from bidegree.solver import default_start
 
 BINARY = WeightFamily.binary()
 EXPONENTIAL = WeightFamily.exponential()
@@ -47,6 +50,64 @@ def synthetic_fisher(cross):
         cross_min=float(off.min()),
         cross_max=float(off.max()),
     )
+
+
+def reference_full_pcg(fisher, rhs):
+    """Conjugate gradients on the whole (2n-1) x (2n-1) system, preconditioned
+    by the approximate inverse: the step solve before the Schur complement,
+    kept as the cost reference.  Each iteration reads ``cross`` twice."""
+    n = fisher.n
+    precond = approx_inverse(fisher)
+    tol = 1e-13 * float(np.abs(rhs).max())
+    x = np.zeros_like(rhs)
+    if tol == 0.0:
+        return x
+    r = rhs.copy()
+    z = apply_approx_inverse(precond, r)
+    p = z
+    rz = float(r @ z)
+    for _ in range(200):
+        padded = np.append(p[n:], 0.0)
+        vp = np.empty_like(p)
+        vp[:n] = fisher.row_sums * p[:n] + fisher.cross @ padded
+        vp[n:] = (fisher.col_sums * padded + p[:n] @ fisher.cross)[: n - 1]
+        step = rz / float(p @ vp)
+        x += step * p
+        r -= step * vp
+        if float(np.abs(r).max()) <= tol:
+            return x
+        z = apply_approx_inverse(precond, r)
+        rz_next = float(r @ z)
+        p = z + (rz_next / rz) * p
+        rz = rz_next
+    raise AssertionError("reference conjugate gradients did not converge")
+
+
+def counting_matvecs(fisher):
+    """``fisher`` with a cross block that counts its products with vectors
+    (``cross @ v`` and ``v @ cross``, views included), and the count."""
+    calls = []
+
+    class CountingArray(np.ndarray):
+        def __matmul__(self, other):
+            calls.append(1)
+            return np.asarray(self) @ np.asarray(other)
+
+        def __rmatmul__(self, other):
+            calls.append(1)
+            return np.asarray(other) @ np.asarray(self)
+
+    return dataclasses.replace(fisher, cross=fisher.cross.view(CountingArray)), calls
+
+
+def newton_system(family, rule, n, point):
+    """The Fisher matrix and moment residual of a sampled ramp graph, at the
+    design parameters or at the graph's warm start."""
+    theta = design_params(SimDesign(family, n, ramp_magnitude(rule, n)))
+    g = bi_degrees(sample_graph(theta, family, n))
+    if point == "start":
+        theta = default_start(g, family)
+    return fisher_info(theta, family), moment_residual(theta, g, family)
 
 
 class TestFisherInfo:
@@ -263,6 +324,32 @@ class TestSolveStructured:
         rtol = 1000 * np.finfo(float).eps * np.linalg.cond(dense)
         assert np.abs(got - expected).max() <= rtol * np.abs(expected).max()
 
+    @given(
+        family=st.sampled_from([BINARY, EXPONENTIAL, GEOMETRIC, FINITE4]),
+        n=st.integers(3, 60),
+        width=st.sampled_from([0.5, 2.0, 5.0, 10.0, 15.0]),
+        ramp=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_true_residual_meets_stopping_rule(self, family, n, width, ramp, seed):
+        # the stopping rule bounds the reduced residual, which is the
+        # out-effect block of the full one; the in-effect block vanishes up
+        # to rounding.  The check's own product adds rounding of a few
+        # eps * |V| |x| (entrywise absolute values).
+        low = 0.05 if family.positive_pair_sums else -width / 2
+        if ramp:
+            effects = low + width * np.linspace(0.0, 1.0, n)
+            fisher = fisher_info(ParamVector(effects, effects, negated=family.negated), family)
+        else:
+            fisher = random_fisher(n, seed, family, low, low + width)
+        rhs = np.random.default_rng(seed).normal(size=2 * n - 1)
+        x = solve_structured(fisher, rhs)
+        dense = materialize(fisher)
+        residual = np.abs(rhs - dense @ x).max()
+        rounding = 8 * np.finfo(float).eps * (np.abs(dense) @ np.abs(x)).max()
+        assert residual <= 1e-13 * np.abs(rhs).max() + rounding
+
     def test_matches_dense_oracle_on_wide_geometric_ramp(self):
         # pair sums spread over [0.05, 30]: the smallest edge variance is
         # ~1e-13 and V has condition number ~3e10, as ill-conditioned as the
@@ -280,6 +367,78 @@ class TestSolveStructured:
             expected = np.linalg.solve(materialize(fisher), rhs)
             got = solve_structured(fisher, rhs)
             assert np.abs(got - expected).max() <= 1e-6 * np.abs(expected).max()
+
+
+class TestSolveCertification:
+    """The Schur complement solve fails with ``SingularFisherError``, never a
+    return value, when V is not positive definite."""
+
+    def fisher_and_rhs(self):
+        return random_fisher(5, 41), np.random.default_rng(41).normal(size=9)
+
+    def test_nonpositive_row_sum(self):
+        fisher, rhs = self.fisher_and_rhs()
+        row_sums = fisher.row_sums.copy()
+        row_sums[2] = 0.0
+        with pytest.raises(SingularFisherError):
+            solve_structured(dataclasses.replace(fisher, row_sums=row_sums), rhs)
+
+    @pytest.mark.parametrize("index", [0, 3, -1], ids=["first", "last-kept", "corner"])
+    def test_nonpositive_col_sum(self, index):
+        fisher, rhs = self.fisher_and_rhs()
+        col_sums = fisher.col_sums.copy()
+        col_sums[index] = -0.5
+        with pytest.raises(SingularFisherError):
+            solve_structured(dataclasses.replace(fisher, col_sums=col_sums), rhs)
+
+    def test_indefinite_fisher(self):
+        # a positive cross block with diagonals far below its row sums:
+        # every diagonal entry is positive, but V is indefinite and the
+        # reduced matrix S = D_a - C D_b^{-1} C^T is negative definite
+        n = 5
+        fisher = synthetic_fisher(1.0 - np.eye(n))
+        fisher = dataclasses.replace(fisher, row_sums=np.full(n, 0.5), col_sums=np.full(n, 0.5))
+        assert np.linalg.eigvalsh(materialize(fisher)).min() < 0.0
+        rhs = np.random.default_rng(5).normal(size=2 * n - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularFisherError):
+                solve_structured(fisher, rhs)
+
+
+class TestSolveCost:
+    """The solve reads ``cross`` fewer times than conjugate gradients on the
+    whole system, and never holds an n x n array of its own."""
+
+    @pytest.mark.parametrize("point", ["design", "start"])
+    @pytest.mark.parametrize("n", [50, 200])
+    @pytest.mark.parametrize(
+        "family, rule",
+        [(BINARY, "loglog"), (FINITE4, "loglog"), (GEOMETRIC, "sqrtlog"), (EXPONENTIAL, "sqrtlog")],
+        ids=lambda v: v.label if isinstance(v, WeightFamily) else v,
+    )
+    def test_fewer_matvecs_than_full_system(self, family, rule, n, point):
+        fisher, rhs = newton_system(family, rule, n, point)
+        full, full_calls = counting_matvecs(fisher)
+        schur, schur_calls = counting_matvecs(fisher)
+        expected = reference_full_pcg(full, rhs)
+        got = solve_structured(schur, rhs)
+        # the count must see the solve's reads of cross to compare them
+        assert 0 < len(schur_calls) < len(full_calls)
+        assert np.abs(got - expected).max() <= 1e-11 * np.abs(expected).max()
+
+    def test_allocates_no_n_by_n_array(self):
+        n = 1000
+        fisher = random_fisher(n, 17)
+        rhs = np.random.default_rng(17).normal(size=2 * n - 1)
+        solve_structured(fisher, rhs)
+        tracemalloc.start()
+        try:
+            solve_structured(fisher, rhs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * n * n * 8
 
 
 class TestApproxError:
