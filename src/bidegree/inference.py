@@ -4,13 +4,16 @@ For any fixed set of coordinates the centered MLE is asymptotically normal
 with covariance given by the approximate inverse of the Fisher matrix, so a
 contrast of two out-effects has variance ``1/v[i] + 1/v[j]`` with ``v`` the
 Fisher diagonal evaluated at the fitted parameters (the shared corner term
-cancels in differences and is dropped for pair sums as well).
+cancels in differences and is dropped for pair sums as well).  Interval
+half-widths use the standard normal quantile of :class:`statistics.NormalDist`
+(Wichura's AS241, accurate to about machine precision on (0, 1)).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -120,67 +123,12 @@ def ci_for_contrast(
     return center - half, center + half
 
 
-# ---------------------------------------------------------------------------
-# standard normal quantile (no statistical-table dependency)
-
-# Rational minimax coefficients (Acklam's inverse normal CDF approximation,
-# |relative error| < 1.15e-9 on (0,1)); one Halley step with erfc then takes
-# the result to close to machine precision.  Bit-reproducible by design.
-_A = (
-    -3.969683028665376e01,
-    2.209460984245205e02,
-    -2.759285104469687e02,
-    1.383577518672690e02,
-    -3.066479806614716e01,
-    2.506628277459239e00,
-)
-_B = (
-    -5.447609879822406e01,
-    1.615858368580409e02,
-    -1.556989798598866e02,
-    6.680131188771972e01,
-    -1.328068155288572e01,
-)
-_C = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
-)
-_D = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
-)
-_P_LOW = 0.02425
+_STANDARD_NORMAL = NormalDist()
 
 
 def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF."""
+    """Inverse standard normal CDF (the standard library's, near machine
+    precision over the whole of (0, 1))."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile probability must lie in (0, 1), got {p}")
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (
-            ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-        ) / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    elif p <= 1.0 - _P_LOW:
-        q = p - 0.5
-        r = q * q
-        x = (
-            (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5])
-            * q
-            / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
-        )
-    else:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        x = -(
-            ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-        ) / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    # Halley refinement against the exact CDF via erfc.
-    err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
+    return _STANDARD_NORMAL.inv_cdf(p)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .inference import ci_for_contrast, contrast_stat, normal_quantile, plug_in_variances
 from .model import WeightFamily, bi_degrees
@@ -213,18 +213,7 @@ def config_from_json(text: str) -> ExperimentConfig:
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("experiment config must be a JSON object")
-    known = {
-        "family",
-        "n_values",
-        "L_rules",
-        "pairs",
-        "replications",
-        "level",
-        "base_seed",
-        "parallelism",
-        "step_mode",
-    }
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ValueError(f"unknown experiment config keys: {sorted(unknown)}")
     for key in ("family", "n_values", "L_rules", "pairs"):

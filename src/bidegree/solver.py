@@ -17,9 +17,13 @@ it has to cut it.
 The MLE exists iff the observed bi-degree sequence lies in the interior of
 the mean polytope, and is then unique.  Interior membership has no practical
 test, but its failure has an observable signature: the iterates run off to
-infinity while the residual stalls.  ``newton_fit`` combines a cheap
-coordinate-boundary screen with that divergence heuristic to classify each
-fit as Exists / NonExistent / Undetermined.
+infinity.  ``newton_fit`` combines a cheap coordinate-boundary screen with
+that divergence heuristic.  Past the screen, every stop of the iteration
+(residual or step tolerance, a non-finite residual, stagnation beyond the
+divergence bound, a singular Fisher matrix, the budget) just ends the loop,
+and one rule classifies the iterate the fit ends on: NonExistent if
+``|theta|_inf`` exceeds the bound, else Exists if the residual is within
+tolerance, else Undetermined.
 
 The warm start and the contraction diagnostics take the family's inverse
 mean and smoothness constants from its record in :mod:`bidegree.model`.
@@ -82,26 +86,27 @@ class Feasibility(enum.Enum):
 class FitConfig:
     """Solver knobs.  ``tol_residual=None`` means ``1e-10 * (n - 1)``.
 
+    The step tolerance and the divergence bound are the module constants
+    ``_TOL_STEP`` and ``_DIVERGENCE_BOUND``: no caller tunes them.
+
     ``step_mode`` is "exact" (the Fisher system solved to 1e-13 relative
     residual by conjugate gradients on the Schur complement of the in-effect
     block, preconditioned by the approximate inverse, O(n^2) per step) or
     "sapprox" (relaxed approximate inverse step, O(n) per step after the
-    O(n^2) Fisher build, then polished by one exact solve at the end).
+    O(n^2) Fisher build, then polished by one exact solve at the end when
+    the residual is finite and ``|theta|_inf`` is inside the divergence
+    bound).
     """
 
     step_mode: str = "exact"
     tol_residual: float | None = None
-    tol_step: float = 1e-10
     max_iter: int = 100
-    divergence_bound: float = 30.0
 
     def __post_init__(self) -> None:
         if self.step_mode not in ("exact", "sapprox"):
             raise ValueError(f"step_mode must be 'exact' or 'sapprox', got {self.step_mode!r}")
         if self.tol_residual is not None and self.tol_residual <= 0:
             raise ValueError("tol_residual must be positive")
-        if self.tol_step <= 0 or self.divergence_bound <= 0:
-            raise ValueError("tolerances must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -144,6 +149,13 @@ _SAPPROX_RELAX = 2.0 / 3.0
 # divergence it turns the blow-up into a steady march that the divergence
 # heuristic can classify.
 _MAX_STEP = 5.0
+
+# A step shorter than this in the inf-norm ends the fit.
+_TOL_STEP = 1e-10
+
+# Iterates with ``|theta|_inf`` beyond this bound are taken to run off to a
+# boundary point of the mean polytope: such a fit is NonExistent.
+_DIVERGENCE_BOUND = 30.0
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +249,9 @@ def newton_fit(
 ) -> FitResult:
     """Fit the MLE by Newton iteration; classify existence.
 
-    Stops on residual tolerance, step tolerance, iteration budget, or the
-    divergence heuristic.  A run that reaches the residual tolerance only
-    with ``|theta|_inf`` beyond the divergence bound is a boundary limit, not
-    an interior solution, and is reported NonExistent.
+    The verdict is the module docstring's rule, applied once to the iterate
+    the fit ends on.  A limit beyond the divergence bound is a boundary
+    point, not an interior solution, even when it meets the tolerance.
     """
     cfg = config or FitConfig()
     n = g.n
@@ -264,22 +275,16 @@ def newton_fit(
     sign = -1.0 if family.negated else 1.0
     trace: list[tuple[float, float]] = []
     residuals: list[float] = []
-    existence = Existence.UNDETERMINED
     iterations = 0
     residual = moment_residual(theta, g, family, work=work)
     resid_norm = float(np.abs(residual).max())
 
+    # Every exit is a break; the verdict is decided once, after the loop.
     for iterations in range(1, cfg.max_iter + 1):
         residuals.append(resid_norm)
-        beyond = float(np.abs(theta.free).max()) > cfg.divergence_bound
-        if not math.isfinite(resid_norm):
-            existence = Existence.NON_EXISTENT if beyond else Existence.UNDETERMINED
+        if not math.isfinite(resid_norm) or resid_norm <= tol_residual:
             break
-        if resid_norm <= tol_residual:
-            existence = Existence.NON_EXISTENT if beyond else Existence.EXISTS
-            break
-        if beyond and _stagnant(residuals):
-            existence = Existence.NON_EXISTENT
+        if float(np.abs(theta.free).max()) > _DIVERGENCE_BOUND and _stagnant(residuals):
             break
         try:
             fisher = fisher_info(theta, family, work=work)
@@ -288,7 +293,6 @@ def newton_fit(
             else:
                 raw = _SAPPROX_RELAX * apply_approx_inverse(approx_inverse(fisher), residual)
         except SingularFisherError:
-            existence = Existence.NON_EXISTENT if beyond else Existence.UNDETERMINED
             break
         delta = sign * raw
         cap = min(1.0, _MAX_STEP / max(float(np.abs(delta).max()), 1e-300))
@@ -305,27 +309,20 @@ def newton_fit(
             if (
                 cfg.step_mode != "exact"
                 or trial_norm <= resid_norm
-                or lam * float(np.abs(delta).max()) <= cfg.tol_step
+                or lam * float(np.abs(delta).max()) <= _TOL_STEP
             ):
                 break
             lam *= 0.5
         step_norm = lam * float(np.abs(delta).max())
         theta, residual, resid_norm = candidate, trial, trial_norm
         trace.append((residuals[-1], step_norm))
-        if step_norm <= cfg.tol_step:
-            residuals.append(resid_norm)
-            if resid_norm <= tol_residual and float(np.abs(theta.free).max()) <= cfg.divergence_bound:
-                existence = Existence.EXISTS
+        if step_norm <= _TOL_STEP:
             break
-    else:  # budget exhausted without a break
-        theta_norm = float(np.abs(theta.free).max())
-        if theta_norm > cfg.divergence_bound and _stagnant(residuals + [resid_norm]):
-            existence = Existence.NON_EXISTENT
 
     if (
         cfg.step_mode == "sapprox"
-        and existence is not Existence.NON_EXISTENT
         and math.isfinite(resid_norm)
+        and float(np.abs(theta.free).max()) <= _DIVERGENCE_BOUND
     ):
         try:
             # The loop's last pass evaluated theta, so ``residual`` and the
@@ -341,9 +338,13 @@ def newton_fit(
                 trace.append((resid_norm, float(np.abs(lam * delta).max())))
         except SingularFisherError:
             pass
-        if resid_norm <= tol_residual and float(np.abs(theta.free).max()) <= cfg.divergence_bound:
-            existence = Existence.EXISTS
 
+    if float(np.abs(theta.free).max()) > _DIVERGENCE_BOUND:
+        existence = Existence.NON_EXISTENT
+    elif resid_norm <= tol_residual:
+        existence = Existence.EXISTS
+    else:
+        existence = Existence.UNDETERMINED
     converged = existence is Existence.EXISTS  # tolerance met with |theta| inside the bound
     return FitResult(theta, converged, existence, iterations, resid_norm, tuple(trace))
 

@@ -18,7 +18,7 @@ from bidegree.cli import (
     write_edge_list,
 )
 from bidegree.model import WeightFamily
-from bidegree.sampler import SimDesign, design_params, sample_graph
+from bidegree.sampler import SimDesign, derive_seed, design_params, sample_graph
 
 BINARY = WeightFamily.binary()
 EXPONENTIAL = WeightFamily.exponential()
@@ -145,6 +145,18 @@ class TestFitCommand:
              "--max-iter", "1", "--tol-residual", "1e-14"]
         )
         assert code == EXIT_UNDETERMINED
+
+    def test_tolerance_on_the_last_allowed_iteration_exits_zero(self, tmp_path, capsys):
+        # the unbudgeted fit meets the tolerance after five steps
+        theta = design_params(SimDesign(BINARY, 30, 0.8))
+        graph = sample_graph(theta, BINARY, derive_seed(9, 0))
+        path = tmp_path / "g.csv"
+        with open(path, "w") as fh:
+            write_edge_list(graph, fh)
+        code = main(["fit", str(path), "--family", "binary", "--n", "30", "--max-iter", "5"])
+        assert code == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["existence"] == "exists"
 
     def test_ci_report(self, tmp_path, capsys):
         theta = design_params(SimDesign(BINARY, 30, 0.0))

@@ -134,6 +134,18 @@ class TestNormalQuantile:
                 scipy.stats.norm.ppf(p), abs=1e-9, rel=1e-9
             )
 
+    def test_machine_precision_in_both_tails(self):
+        grid = np.concatenate(
+            [
+                np.geomspace(1e-12, 0.5, 2001),
+                np.linspace(1e-12, 1 - 1e-12, 100001),
+                1.0 - np.geomspace(1e-12, 0.5, 2001),
+            ]
+        )
+        expected = scipy.stats.norm.ppf(grid)
+        got = np.array([normal_quantile(float(p)) for p in grid])
+        assert np.all(np.abs(got - expected) <= 4e-15 * np.maximum(1.0, np.abs(expected)))
+
     def test_symmetry(self):
         for p in (0.01, 0.2, 0.45):
             assert normal_quantile(p) == pytest.approx(-normal_quantile(1 - p), abs=1e-12)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -63,6 +64,22 @@ class TestConfig:
         assert cfg.n_values == (20, 30)
         assert cfg.pairs == ((1, 2), (5, 6))
         assert cfg.replications == 7
+
+    def test_json_names_every_field(self):
+        cfg = ExperimentConfig(
+            family=WeightFamily.finite(3),
+            n_values=(12, 16),
+            L_rules=("zero", "log"),
+            pairs=((1, 2), (3, 4)),
+            replications=9,
+            level=0.9,
+            base_seed=17,
+            parallelism=2,
+            step_mode="sapprox",
+        )
+        data = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(ExperimentConfig)}
+        data["family"] = cfg.family.label
+        assert config_from_json(json.dumps(data)) == cfg
 
     def test_json_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown"):

@@ -253,6 +253,34 @@ class TestNewtonFit:
         assert not result.converged
         assert result.existence is Existence.UNDETERMINED
 
+    def test_tolerance_met_on_the_last_allowed_iteration_exists(self):
+        # The full fit reaches the tolerance after its fifth step; a budget
+        # of five steps ends on the same iterate and gets the same verdict.
+        _, g = sampled_instance(BINARY, 30, derive_seed(9, 0))
+        full = newton_fit(g, BINARY)
+        assert full.existence is Existence.EXISTS and full.iterations == 6
+        result = newton_fit(g, BINARY, config=FitConfig(max_iter=5))
+        assert result.iterations == 5
+        assert result.existence is Existence.EXISTS and result.converged
+        assert result.residual_norm_inf == full.residual_norm_inf
+        np.testing.assert_array_equal(result.theta_hat.free, full.theta_hat.free)
+
+    @pytest.mark.parametrize("max_iter", range(15, 22))
+    def test_budget_beyond_the_bound_is_nonexistent(self, max_iter):
+        # No interior MLE: these degrees force some edges to the support's
+        # ends, and the capped steps march |theta| by 2 per iteration while
+        # the residual keeps falling.  Unbudgeted, the run reaches the
+        # tolerance beyond the bound at iteration 22 and is NonExistent; a
+        # budget that stops it beyond the bound gives the same verdict.
+        g = BiDegree([3, 3, 2, 1, 1], [3, 3, 2, 1, 1])
+        assert newton_fit(g, BINARY).existence is Existence.NON_EXISTENT
+        result = newton_fit(g, BINARY, config=FitConfig(max_iter=max_iter))
+        assert result.iterations == max_iter
+        assert np.abs(result.theta_hat.free).max() > bidegree.solver._DIVERGENCE_BOUND
+        residuals = [r for r, _ in result.trace]
+        assert residuals == sorted(residuals, reverse=True)  # still falling
+        assert result.existence is Existence.NON_EXISTENT
+
     def test_uniqueness_from_perturbed_starts(self):
         rng = np.random.default_rng(31)
         for family in ALL_FAMILIES:
@@ -303,7 +331,7 @@ class TestNewtonFit:
             if k < len(seeds):
                 assert np.abs(a.theta_hat.free - b.theta_hat.free).max() <= 1e-10
         if forced:
-            assert np.abs(fast[-1].theta_hat.free).max() > FitConfig().divergence_bound
+            assert np.abs(fast[-1].theta_hat.free).max() > bidegree.solver._DIVERGENCE_BOUND
 
 
     def test_geometric_nonexistent_only_with_a_zero_degree(self):
