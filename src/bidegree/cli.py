@@ -54,18 +54,21 @@ def _check_weight(family: WeightFamily, weight: float, line: int) -> None:
 def read_edge_list(lines, family: WeightFamily, n: int | None = None) -> Graph:
     """Parse ``src,dst,weight`` rows (comma, tab or space separated).
 
-    The header row is optional, the weight column defaults to 1, missing
+    Blank lines and ``#`` comments are skipped.  The header row is optional
+    (the first row that is neither), the weight column defaults to 1, missing
     pairs have weight 0, and n is inferred as the largest vertex id unless
     declared.
     """
     edges: dict[tuple[int, int], float] = {}
     max_id = 0
+    first_row = True
     for line_no, raw in enumerate(lines, start=1):
         text = raw.strip()
         if not text or text.startswith("#"):
             continue
         parts = [p for p in text.replace(",", " ").split() if p]
-        if line_no == 1:
+        if first_row:
+            first_row = False
             try:
                 int(parts[0])
             except ValueError:
@@ -162,6 +165,10 @@ def _cmd_fit(args) -> int:
         lines = fh.readlines()
     reader = read_dense if args.format == "dense" else read_edge_list
     graph = reader(lines, family, args.n)
+    # checked before the fit, so that bad CI options fail whatever the verdict
+    pairs = _parse_pairs(args.ci or [], graph.n)
+    if not 0.0 < args.level < 1.0:
+        raise ValueError(f"--level must lie in (0, 1), got {args.level!r}")
     g = bi_degrees(graph)
     cfg = FitConfig(
         step_mode=args.step_mode,
@@ -188,7 +195,7 @@ def _cmd_fit(args) -> int:
             "beta": cov.v_hat_diag[g.n : 2 * g.n - 1].tolist(),
             "corner": float(cov.v_hat_diag[-1]),
         }
-        for i, j in _parse_pairs(args.ci or [], g.n):
+        for i, j in pairs:
             lo, hi = ci_for_contrast(i - 1, j - 1, result.theta_hat, cov, args.level)
             report["confidence_intervals"].append(
                 {

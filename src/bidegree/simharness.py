@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
-from .inference import ci_for_contrast, contrast_stat, normal_quantile, plug_in_variances
+from .inference import CONTRAST_KINDS, ci_for_contrast, contrast_stat, normal_quantile
+from .inference import plug_in_variances
 from .model import WeightFamily, bi_degrees
 from .sampler import SimDesign, derive_seed, design_params, ramp_magnitude, sample_graph
 from .solver import Existence, FitConfig, newton_fit
@@ -68,6 +69,7 @@ class ExperimentConfig:
             raise ValueError("level must lie in (0, 1)")
         if self.parallelism < 1:
             raise ValueError("parallelism must be at least 1")
+        FitConfig(step_mode=self.step_mode)  # validates the step mode
         for rule in self.L_rules:
             ramp_magnitude(rule, max(self.n_values))  # validates the rule name
         for n in self.n_values:
@@ -171,7 +173,9 @@ def qq_export(cfg: ExperimentConfig, kind: str, pair: tuple[int, int]) -> list[t
     """
     if len(cfg.n_values) != 1 or len(cfg.L_rules) != 1:
         raise ValueError("qq_export expects a single-cell config (one n, one L rule)")
-    pair = (int(pair[0]), int(pair[1]))
+    if kind not in CONTRAST_KINDS:
+        raise ValueError(f"unknown contrast kind {kind!r}; expected one of {CONTRAST_KINDS}")
+    (pair,) = replace(cfg, pairs=(pair,)).pairs  # validates the pair
     tasks = _cell_tasks(cfg, cfg.n_values[0], cfg.L_rules[0], (pair,), kind)
     results = _run_tasks(tasks, cfg.parallelism)
     stats = sorted(res[0][0] for res in results if res is not None)

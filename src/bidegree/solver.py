@@ -1,11 +1,12 @@
 """Newton-Raphson fitting of the bi-degree MLE with existence detection.
 
 The likelihood equations say the fitted expected degrees must reproduce the
-observed ones, i.e. the moment residual ``F`` vanishes at the MLE.  Newton
-iterates solve the structured Fisher system exactly (conjugate gradients on
-the Schur complement of the in-effect block, preconditioned by the
-approximate inverse, O(n^2) per step) or take the cheap approximate-inverse
-step; both drive ``F`` to zero whenever the MLE exists.
+observed ones, i.e. the moment residual ``F`` vanishes at the MLE.  One
+Newton loop serves both step engines: an exact step solves the structured
+Fisher system (conjugate gradients on the Schur complement of the in-effect
+block, preconditioned by the approximate inverse, O(n^2) per step); sapprox
+takes cheap approximate-inverse steps until they stall or meet the
+tolerance, then exact ones.  Only an exact step ends a fit on a tolerance.
 
 Each trial step costs one pass over the edges: the residual pass also
 leaves the edge variances in the fit's workspace (two n x n buffers
@@ -92,10 +93,10 @@ class FitConfig:
     ``step_mode`` is "exact" (the Fisher system solved to 1e-13 relative
     residual by conjugate gradients on the Schur complement of the in-effect
     block, preconditioned by the approximate inverse, O(n^2) per step) or
-    "sapprox" (relaxed approximate inverse step, O(n) per step after the
-    O(n^2) Fisher build, then polished by one exact solve at the end when
-    the residual is finite and ``|theta|_inf`` is inside the divergence
-    bound).
+    "sapprox" (relaxed approximate inverse steps, O(n) each after the O(n^2)
+    Fisher build, until the residual meets the tolerance or is above half
+    its value two steps earlier; exact steps from then on, in the same loop
+    and under the same budget).
     """
 
     step_mode: str = "exact"
@@ -119,7 +120,7 @@ class FitResult:
     iterations: int
     residual_norm_inf: float
     trace: tuple[tuple[float, float], ...] = field(default_factory=tuple)
-    """Per-iteration pairs (residual inf-norm, step inf-norm)."""
+    """Per-iteration pairs (residual inf-norm before the step, step inf-norm)."""
 
 
 @dataclass(frozen=True)
@@ -280,15 +281,22 @@ def newton_fit(
     resid_norm = float(np.abs(residual).max())
 
     # Every exit is a break; the verdict is decided once, after the loop.
+    # ``exact`` says whether this step is exact.  Sapprox turns exact for good
+    # once the residual meets the tolerance or exceeds half its value two
+    # steps back (the approximate step is not monotone in the inf-norm, so one
+    # step back is too short).  Only an exact step ends a fit on a tolerance.
+    exact = cfg.step_mode == "exact"
     for iterations in range(1, cfg.max_iter + 1):
         residuals.append(resid_norm)
-        if not math.isfinite(resid_norm) or resid_norm <= tol_residual:
+        if not math.isfinite(resid_norm) or (exact and resid_norm <= tol_residual):
             break
         if float(np.abs(theta.free).max()) > _DIVERGENCE_BOUND and _stagnant(residuals):
             break
+        exact = exact or resid_norm <= tol_residual or (
+            len(residuals) > 2 and resid_norm > 0.5 * residuals[-3])
         try:
             fisher = fisher_info(theta, family, work=work)
-            if cfg.step_mode == "exact":
+            if exact:
                 raw = solve_structured(fisher, residual)
             else:
                 raw = _SAPPROX_RELAX * apply_approx_inverse(approx_inverse(fisher), residual)
@@ -297,7 +305,7 @@ def newton_fit(
         delta = sign * raw
         cap = min(1.0, _MAX_STEP / max(float(np.abs(delta).max()), 1e-300))
         lam = cap * _damping(theta, cap * delta, family)
-        # Exact mode backtracks until the residual stops increasing; the
+        # An exact step backtracks until the residual stops increasing; the
         # Newton direction always admits such a step, and the accepted trial
         # doubles as the next iteration's residual evaluation.  The relaxed
         # approximate step is a contraction in its own eigenbasis but not
@@ -307,7 +315,7 @@ def newton_fit(
             trial = moment_residual(candidate, g, family, work=work)
             trial_norm = float(np.abs(trial).max())
             if (
-                cfg.step_mode != "exact"
+                not exact
                 or trial_norm <= resid_norm
                 or lam * float(np.abs(delta).max()) <= _TOL_STEP
             ):
@@ -316,28 +324,8 @@ def newton_fit(
         step_norm = lam * float(np.abs(delta).max())
         theta, residual, resid_norm = candidate, trial, trial_norm
         trace.append((residuals[-1], step_norm))
-        if step_norm <= _TOL_STEP:
+        if exact and step_norm <= _TOL_STEP:
             break
-
-    if (
-        cfg.step_mode == "sapprox"
-        and math.isfinite(resid_norm)
-        and float(np.abs(theta.free).max()) <= _DIVERGENCE_BOUND
-    ):
-        try:
-            # The loop's last pass evaluated theta, so ``residual`` and the
-            # workspace's variances belong to it.
-            fisher = fisher_info(theta, family, work=work)
-            delta = sign * solve_structured(fisher, residual)
-            lam = _damping(theta, delta, family)
-            polished = theta.with_step(lam * delta)
-            polished_norm = float(np.abs(moment_residual(polished, g, family, work=work)).max())
-            if polished_norm <= resid_norm:
-                theta = polished
-                resid_norm = polished_norm
-                trace.append((resid_norm, float(np.abs(lam * delta).max())))
-        except SingularFisherError:
-            pass
 
     if float(np.abs(theta.free).max()) > _DIVERGENCE_BOUND:
         existence = Existence.NON_EXISTENT

@@ -31,6 +31,13 @@ class TestEdgeListIO:
         assert graph.n == 3
         assert graph.weights[0, 1] == 1.0 and graph.weights[2, 0] == 1.0
 
+    def test_header_after_comments_and_blank_lines(self):
+        lines = ["# note", "", "src,dst,weight", "1,2,1", "2,3,1", "3,1,x"]
+        with pytest.raises(EdgeListParseError, match="line 6"):
+            read_edge_list(lines, BINARY)
+        graph = read_edge_list(lines[:-1], BINARY)
+        assert graph.n == 3 and graph.weights[1, 2] == 1.0
+
     def test_weight_defaults_to_one(self):
         graph = read_edge_list(["1 2", "2 1"], BINARY)
         assert graph.weights[0, 1] == 1.0
@@ -127,6 +134,20 @@ class TestFitCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["existence"] == "nonexistent"
         assert report["theta_hat"] is None
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [(["--ci", "1,99"], "pair '1,99' invalid for n=4"), (["--level", "1.5"], "--level")],
+        ids=["ci", "level"],
+    )
+    def test_bad_ci_options_exit_one_whatever_the_verdict(self, tmp_path, capsys, option, message):
+        # The tournament graph has no MLE; the options are checked before the fit.
+        path = tmp_path / "tournament.csv"
+        path.write_text("1,2,1\n1,3,1\n1,4,1\n2,3,1\n")
+        code = main(["fit", str(path), "--family", "binary", "--n", "4", *option])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
 
     def test_parse_error_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

@@ -11,6 +11,10 @@ per-family formulas on purpose and are not scanned.
 A Newton step costs O(n^2) and never an O(n^3) dense solve, so no code uses
 a ``linalg`` module (``np.linalg.*``, ``scipy.linalg.*``, or an import of
 one) outside ``fisher.dense_inverse``, the dense test oracle.
+
+Both step engines share one Newton loop, so the step mode is decided in one
+place: a comparison with a ``.step_mode`` attribute appears only in
+``FitConfig``'s validation and once in ``newton_fit``.
 """
 
 import ast
@@ -27,6 +31,7 @@ ALLOWED = {
     ("model.py", "WeightFamily.label"),
 }
 LINALG_ALLOWED = {("fisher.py", "dense_inverse")}
+STEP_MODE_ALLOWED = {("solver.py", "FitConfig.__post_init__"), ("solver.py", "newton_fit")}
 
 
 def _is_kind(node) -> bool:
@@ -74,6 +79,14 @@ def _is_linalg_use(node) -> bool:
     return False
 
 
+def _is_step_mode(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "step_mode"
+
+
+def _is_step_mode_test(node) -> bool:
+    return isinstance(node, ast.Compare) and any(map(_is_step_mode, [node.left, *node.comparators]))
+
+
 def kind_dispatches(source: str) -> list[tuple[str, int]]:
     """``(enclosing function, line)`` of every dispatch on a ``.kind`` attribute."""
     return _scan(source, _is_kind_dispatch)
@@ -82,6 +95,11 @@ def kind_dispatches(source: str) -> list[tuple[str, int]]:
 def linalg_uses(source: str) -> list[tuple[str, int]]:
     """``(enclosing function, line)`` of every use or import of a ``linalg`` module."""
     return _scan(source, _is_linalg_use)
+
+
+def step_mode_tests(source: str) -> list[tuple[str, int]]:
+    """``(enclosing function, line)`` of every comparison with a ``.step_mode`` attribute."""
+    return _scan(source, _is_step_mode_test)
 
 
 def test_scanner_sees_dispatch_but_not_messages():
@@ -133,3 +151,26 @@ def test_no_dense_linear_algebra_outside_the_oracle():
     assert not stray, "linalg use outside fisher.dense_inverse: " + ", ".join(stray)
     # the oracle's own use is found, so the scan covers fisher.py
     assert ("fisher.py", "dense_inverse") in seen
+
+
+def test_scanner_sees_step_mode_tests():
+    source = '''
+def f(cfg, FitConfig):
+    exact = cfg.step_mode == "exact"
+    if "sapprox" != cfg.step_mode or cfg.step_mode in ("a", "b"):
+        pass
+    raise ValueError(f"bad {cfg.step_mode!r}")
+    return FitConfig(step_mode=cfg.step_mode), exact
+'''
+    assert [line for _, line in step_mode_tests(source)] == [3, 4, 4]
+
+
+def test_one_step_mode_decision():
+    sites = []
+    for path in SOURCES:
+        sites += [(path.name, scope) for scope, _ in step_mode_tests(path.read_text())]
+    stray = sorted({site for site in sites if site not in STEP_MODE_ALLOWED})
+    assert not stray, f"step_mode tested outside its one decision: {stray}"
+    assert sites.count(("solver.py", "newton_fit")) == 1
+    # the validation is found too, so the scan covers solver.py
+    assert ("solver.py", "FitConfig.__post_init__") in sites

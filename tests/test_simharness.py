@@ -48,6 +48,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(level=1.2)
 
+    def test_unknown_step_mode_rejected(self):
+        with pytest.raises(ValueError, match="step_mode"):
+            small_config(step_mode="bogus")
+
     def test_json_round_trip(self):
         text = json.dumps(
             {
@@ -148,6 +152,19 @@ class TestQQExport:
     def test_multi_cell_config_rejected(self):
         with pytest.raises(ValueError):
             qq_export(small_config(n_values=(20, 30)), "alpha_diff", (1, 2))
+
+    @pytest.mark.parametrize(
+        "kind, pair, message",
+        [("alpha_diff", (1, 60), r"pair \(1, 60\) invalid for n=50"), ("bogus", (1, 2), "bogus")],
+        ids=["pair", "kind"],
+    )
+    def test_bad_request_rejected_before_any_replication(self, monkeypatch, kind, pair, message):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(sh, "sample_graph", no_sampling)
+        with pytest.raises(ValueError, match=message):
+            qq_export(small_config(n_values=(50,)), kind, pair)
 
     def test_insufficient_data(self):
         cfg = small_config(n_values=(100,), L_rules=("log",), replications=12)

@@ -14,6 +14,7 @@ from bidegree.fisher import dense_inverse
 from bidegree.inference import plug_in_variances
 from bidegree.model import (
     BiDegree,
+    Graph,
     InvalidParameterError,
     ParamVector,
     WeightFamily,
@@ -384,6 +385,75 @@ class TestNewtonFit:
             assert a.iterations == b.iterations
             if a.existence is Existence.EXISTS:
                 assert np.abs(a.theta_hat.free - b.theta_hat.free).max() <= 1e-10
+
+
+class TestSapproxHandover:
+    """Sapprox takes approximate steps until they stall or meet the
+    tolerance, then exact steps in the same loop; only an exact step ends a
+    fit on a tolerance."""
+
+    @pytest.mark.parametrize(
+        "family, d, b",
+        [
+            (GEOMETRIC, [2, 4, 2], [2, 3, 3]),
+            (FINITE4, [8, 3, 10, 6, 5, 12], [10, 10, 5, 9, 8, 2]),
+        ],
+        ids=["geometric", "finite:4"],
+    )
+    def test_stalled_approximate_steps_finish_exactly(self, family, d, b):
+        # An MLE exists for both, but the relaxed approximate step stalls
+        # far from it; exact steps must take over before the budget runs out.
+        g = BiDegree(d, b)
+        exact = newton_fit(g, family)
+        approx = newton_fit(g, family, config=FitConfig(step_mode="sapprox"))
+        assert exact.existence is Existence.EXISTS
+        assert approx.existence is Existence.EXISTS and approx.iterations < 20
+        assert np.abs(approx.theta_hat.free - exact.theta_hat.free).max() <= 1e-8
+
+    def test_verdicts_match_exact_on_small_graphs(self):
+        # Random small integer graphs; many sit on or near the boundary of
+        # the mean polytope, where the approximate step stalls.
+        rng = np.random.default_rng(2024)
+        families = (BINARY, WeightFamily.finite(3), FINITE4, GEOMETRIC)
+        tops = (1, 2, 3, 3)
+        differ, budget = [], []
+        for k in range(200):
+            n = rng.integers(3, 9)
+            weights = rng.integers(0, tops[k % 4] + 1, (n, n)).astype(float)
+            np.fill_diagonal(weights, 0.0)
+            g, family = bi_degrees(Graph(weights)), families[k % 4]
+            exact = newton_fit(g, family)
+            approx = newton_fit(g, family, config=FitConfig(step_mode="sapprox"))
+            if approx.existence is not exact.existence:
+                differ.append((k, exact.existence.value, approx.existence.value))
+            if approx.iterations == FitConfig().max_iter:
+                budget.append(k)
+        assert not differ
+        assert not budget
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.label)
+    def test_approximate_steps_carry_the_fit(self, monkeypatch, family):
+        # Guard against a hand-over so early that sapprox becomes exact
+        # Newton: the approximate steps do most of the work, and an exact
+        # step ends the fit.
+        calls = {"approx": 0, "exact": 0}
+
+        def counted(fn, key):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        solver = bidegree.solver
+        monkeypatch.setattr(
+            solver, "apply_approx_inverse", counted(solver.apply_approx_inverse, "approx")
+        )
+        monkeypatch.setattr(solver, "solve_structured", counted(solver.solve_structured, "exact"))
+        _, g = sampled_instance(family, 30, derive_seed(9, 0))
+        result = newton_fit(g, family, config=FitConfig(step_mode="sapprox"))
+        assert result.existence is Existence.EXISTS
+        assert calls["approx"] >= 15 and 1 <= calls["exact"] <= 2
 
 
 def tensor_pair_moments(theta, family, var, out=None):
