@@ -12,9 +12,11 @@ in-effect of the last vertex; its entrywise error decays like
 ``max_offdiag^2 / (min_offdiag^3 * (n-1)^2)`` for well-behaved parameter
 sequences, which :func:`approx_error` lets callers measure directly.
 
-In a fit, :func:`fisher_info` builds the matrix from the edge variances the
-accepted trial's residual pass left in the fit's workspace, so it evaluates
-no edge itself; it only takes the two margins and the extreme entries.
+:func:`fisher_info` takes the matrix from one edge pass, which sums the
+variances' margins and finds their smallest entry block by block.  In a fit
+that is the accepted trial's residual pass, whose results wait in the fit's
+workspace, so the build is O(n): it reads no n x n array.  The largest
+variance is scanned only when :attr:`StructuredFisher.cross_max` is read.
 
 The exact solve :func:`solve_structured` eliminates the in-effects, whose
 block of V is diagonal, and runs conjugate gradients on the n x n Schur
@@ -37,7 +39,6 @@ import numpy as np
 from .model import (
     ParamVector,
     WeightFamily,
-    _margins,
     _pair_moments,
     _Workspace,
     validate_params,
@@ -89,11 +90,15 @@ class StructuredFisher:
     row_sums: np.ndarray
     col_sums: np.ndarray
     cross_min: float
-    cross_max: float
 
     @property
     def n(self) -> int:
         return self.cross.shape[0]
+
+    @property
+    def cross_max(self) -> float:
+        """The largest variance, scanned when read: only the diagnostics need it."""
+        return float(self.cross.max())
 
     @property
     def corner(self) -> float:
@@ -128,26 +133,21 @@ def fisher_info(
     matrix is positive for every family.
 
     ``work`` is the fitting loop's workspace.  When its last pass evaluated
-    this very ``theta`` (the accepted trial's :func:`moment_residual`), its
-    edge variances become ``cross``, valid until the workspace's next pass,
-    and no edge is evaluated again; otherwise the pass runs here into fresh
-    arrays.
+    this very ``theta`` (the accepted trial's :func:`moment_residual`), that
+    pass's variances, margins and minimum are the matrix, valid until the
+    workspace's next pass, and the build is O(n); otherwise the same pass
+    runs here into new arrays.
     """
     validate_params(theta, family)
     if work is not None and work.theta is theta:
-        cross = work.variance
+        moments = work.last
     else:
-        _, cross = _pair_moments(theta, family, var=True)
-    row_sums, col_sums = _margins(cross)
-    np.fill_diagonal(cross, np.inf)  # keep the zero diagonal out of the minimum
-    cross_min = float(cross.min())
-    np.fill_diagonal(cross, 0.0)
+        moments = _pair_moments(theta, family, _Workspace(theta.n, family))
     return StructuredFisher(
-        cross=cross,
-        row_sums=row_sums,
-        col_sums=col_sums,
-        cross_min=cross_min,
-        cross_max=float(cross.max()),
+        cross=moments.variance,
+        row_sums=moments.var_rows,
+        col_sums=moments.var_cols,
+        cross_min=moments.cross_min,
     )
 
 

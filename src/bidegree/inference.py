@@ -17,8 +17,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .fisher import fisher_info
-from .model import ParamVector, WeightFamily
+from .model import ParamVector, WeightFamily, _pair_moments, _Workspace, validate_params
 
 __all__ = [
     "AsymptoticCov",
@@ -65,10 +64,17 @@ class AsymptoticCov:
 def plug_in_variances(
     theta_hat: ParamVector, family: WeightFamily, level: float = 0.95
 ) -> AsymptoticCov:
-    """Fisher diagonals evaluated at the fitted parameters."""
-    fisher = fisher_info(theta_hat, family)
+    """Fisher diagonals evaluated at the fitted parameters.
+
+    They are the variances' margins of :func:`bidegree.fisher.fisher_info`'s
+    pass, taken from the same pass with the variances in a one-block scratch
+    buffer, so no n x n array is made.
+    """
+    validate_params(theta_hat, family)
+    work = _Workspace(theta_hat.n, family, variance="block")
+    moments = _pair_moments(theta_hat, family, work)
     return AsymptoticCov(
-        v_hat_diag=np.concatenate([fisher.row_sums, fisher.col_sums]),
+        v_hat_diag=np.concatenate([moments.var_rows, moments.var_cols]),
         level=level,
     )
 

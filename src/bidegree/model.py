@@ -23,14 +23,17 @@ n x n x q tensor: binary ``t = exp(-s)``, on whole graphs the n^2 product
 ``exp(-alpha_i) * exp(-beta_j)``; ``finite:q`` powers of ``t = exp(-|s|)``,
 mirrored where ``s < 0``; geometric one ``expm1``; exponential ``1/s``.
 
-Every whole-graph evaluation is one pass of ``_pair_moments``, which writes
-the means and variances into two n x n arrays; row and column sums are
-mat-vecs with a ones vector.  In a fit, each Newton trial makes one such
-pass: :func:`moment_residual` given the fit's workspace (``work``)
-computes the variances with the means and leaves them there, and the Fisher
-matrix of the accepted trial is built from them without a second pass.  The
-workspace holds the fit's two buffers, so the fitting loop allocates no n x n
-array.
+Every whole-graph evaluation is one pass of ``_pair_moments`` over row
+blocks.  While a block is in cache the pass adds its means into row and
+column sums (the expected degrees) and, when it computes the variances, their
+row and column sums (the Fisher diagonal) and their smallest off-diagonal
+entry; nothing reads the block again.  The means live in a one-block scratch
+buffer; the variances are kept whole where the step solve reads them.  In a
+fit, each Newton trial makes one such pass: :func:`moment_residual` given the
+fit's workspace (``work``) leaves the variances and their margins there, and
+the Fisher matrix of the accepted trial is built from them in O(n).  The
+workspace holds the fit's one n x n buffer, one block and the margin vectors,
+so the fitting loop allocates no n x n array.
 
 Every public function here is a pure function of immutable values; nothing
 mutates after construction, so all objects are safe to share across threads.
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -224,9 +227,12 @@ class BiDegree:
             raise ValueError("d and b must be 1-d arrays of equal length >= 2")
         if not (np.all(np.isfinite(d) & (d >= 0)) and np.all(np.isfinite(b) & (b >= 0))):
             raise ValueError("degrees must be finite and nonnegative")
-        if abs(d.sum() - b.sum()) > 1e-9 * d.size:
+        # The totals are sums of the same weights in two orders, so they
+        # agree to rounding relative to their size.
+        out_total, in_total = float(d.sum()), float(b.sum())
+        if abs(out_total - in_total) > 1e-9 * max(d.size, out_total, in_total):
             raise ValueError(
-                f"out- and in-degree totals disagree: {d.sum()!r} vs {b.sum()!r}"
+                f"out- and in-degree totals disagree: {out_total!r} vs {in_total!r}"
             )
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "b", b)
@@ -264,11 +270,17 @@ class Graph:
 _EXP_SAFE = 700.0
 
 # Edges per row block where a whole-graph evaluation needs temporaries (the
-# binary and finite kernels, the damping cut).  A block's temporaries then
-# stay under 128 kB, which the C allocator serves from its free lists: with
-# blocks of 2**15 edges, a finite:4 pass at n=500 took 1200 page faults and
-# twice the time.  In-place kernels run on the whole graph at once.
+# finite kernel, the binary per-edge fallback, the damping cut).  A block's
+# temporaries then stay under 128 kB, which the C allocator serves from its
+# free lists: with blocks of 2**15 edges, a finite:4 pass at n=500 took 1200
+# page faults and twice the time.
 _BLOCK_EDGES = 16000
+
+# Edges per row block of the kernels that allocate nothing (the rate
+# families and the binary rank-one product): a block of means and one of
+# variances, 512 kB each, stay in L2 cache while the pass sums their margins.
+# Each block costs about ten numpy calls, so n <= 256 is one block.
+_CACHE_EDGES = 2**16
 
 
 def _power_sums(q: int, t: np.ndarray, order: int) -> list[np.ndarray]:
@@ -315,19 +327,23 @@ def _binary_moments(family: WeightFamily, s: np.ndarray, variance=None):
     return low, variance
 
 
-def _binary_pair_moments(theta: ParamVector, mean, variance) -> bool:
-    # exp(-alpha_i - beta_j) factorises: an n^2 product (a rank-one BLAS
-    # product, exact with one term) in place of n^2 exponentials.  Then
+def _binary_pair_moments(theta: ParamVector):
+    # exp(-alpha_i - beta_j) factorises: a product per edge (a rank-one BLAS
+    # product, exact with one term) in place of an exponential.  Then
     # mean = 1/(1+t) and variance = t/(1+t)^2.
     alpha, beta = theta.alpha, theta.beta
     if np.abs(alpha).max() + np.abs(beta).max() > _EXP_SAFE:
-        return False
-    t = mean if variance is None else variance
-    np.dot(np.exp(-alpha)[:, None], np.exp(-beta)[None, :], out=t)
-    np.divide(1.0, np.add(t, 1.0, out=mean), out=mean)
-    if variance is not None:
-        np.multiply(np.multiply(t, mean, out=t), mean, out=t)
-    return True
+        return None
+    left, right = np.exp(-alpha)[:, None], np.exp(-beta)[None, :]
+
+    def block(rows: slice, mean: np.ndarray, variance: np.ndarray | None) -> None:
+        t = mean if variance is None else variance
+        np.dot(left[rows], right, out=t)
+        np.divide(1.0, np.add(t, 1.0, out=mean), out=mean)
+        if variance is not None:
+            np.multiply(np.multiply(t, mean, out=t), mean, out=t)
+
+    return block
 
 
 def _exponential_moments(family: WeightFamily, s: np.ndarray, variance=None):
@@ -448,9 +464,11 @@ class _FamilyMaths:
     negated: bool = True  # parameters stored sign-flipped
     positive_pair_sums: bool = False
     integer_weights: bool = True
-    in_place: bool = False  # the kernel allocates nothing: whole graphs need no row blocks
+    in_place: bool = False  # the kernel allocates nothing: cache-sized row blocks
     ramp_offset: float = 0.0  # of the ramp designs, whose smallest pair sum is twice it
-    pair_moments: Callable | None = None  # (theta, mean, variance) -> True if it filled them
+    # (theta) -> a row-block kernel (rows, mean, variance) that allocates
+    # nothing, or None where ``moments`` must run on the pair sums
+    pair_moments: Callable | None = None
 
 
 _FAMILIES = {
@@ -459,7 +477,7 @@ _FAMILIES = {
         log_partition=lambda family, s: np.logaddexp(0.0, s),
         inverse_mean=lambda family, m: np.log(m) - np.log1p(-m),
         sample=lambda theta, family, gen: (
-            gen.random((theta.n, theta.n)) < _pair_moments(theta, family, var=False)[0]
+            gen.random((theta.n, theta.n)) < _edge_means(theta, family)
         ).astype(float),
         lipschitz=lambda family, nm1, lo, hi: (float(nm1), nm1 / 2.0),
         max_weight=lambda family: 1.0,
@@ -587,62 +605,119 @@ def validate_params(theta: ParamVector, family: WeightFamily) -> None:
             )
 
 
-class _Workspace:
-    """The two n x n buffers that every whole-graph pass of one fit writes
-    into, and the parameters whose edge variances the last pass left there.
+def _block_rows(n: int, cached: bool) -> int:
+    """Rows per block of a pass: ``_CACHE_EDGES`` edges for kernels that
+    allocate nothing, else ``_BLOCK_EDGES``."""
+    return max(1, min(n, (_CACHE_EDGES if cached else _BLOCK_EDGES) // n))
 
-    ``newton_fit`` makes one per fit and hands it to :func:`moment_residual`
+
+class _Workspace:
+    """The buffers one whole-graph pass writes into, and in a fit the
+    parameters and the results of the last pass.
+
+    ``means`` and ``variance`` say how much of each n x n array a pass keeps:
+    ``"whole"`` (n rows) or ``"block"`` (one row block of scratch, which the
+    next block overwrites); ``variance=None`` skips the variances.  The
+    margin vectors receive the pass's sums.
+
+    ``newton_fit`` makes one per fit, with whole variances (the step solve
+    reads them) and a block of means, and hands it to :func:`moment_residual`
     and :func:`bidegree.fisher.fisher_info` as ``work``; the accepted trial's
-    variances then build the next Fisher matrix without a second pass.
-    Nothing a public function returns points into it.
+    pass is then the next Fisher matrix, built in O(n).  Nothing a public
+    function returns points into a fit's workspace.
     """
 
-    __slots__ = ("buffers", "theta", "variance")
+    __slots__ = ("means", "variance", "vectors", "ones", "theta", "last")
 
-    def __init__(self, n: int) -> None:
-        both = np.empty((2, n, n))  # one block, which the next fit can reuse whole
-        self.buffers = (both[0], both[1])
+    def __init__(
+        self, n: int, family: WeightFamily, means: str = "block", variance: str | None = "whole"
+    ) -> None:
+        maths = _maths(family)
+        rows = _block_rows(n, maths.in_place or maths.pair_moments is not None)
+        heights = {"whole": n, "block": rows, None: 0}
+        m, v = heights[means], heights[variance]
+        flat = np.empty((m + v) * n)  # one allocation, which the next fit can reuse whole
+        self.means = flat[: m * n].reshape(m, n)
+        self.variance = flat[m * n :].reshape(v, n) if variance else None
+        self.vectors = np.empty((5, n))  # four margins and a spare
+        self.ones = np.ones(n)
         self.theta: ParamVector | None = None
-        self.variance: np.ndarray | None = None
+        self.last: _Moments | None = None
 
 
-def _pair_moments(
-    theta: ParamVector,
-    family: WeightFamily,
-    var: bool,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
-):
-    """Edge means, and the variances when ``var`` (else None), of every ordered
-    pair as n-by-n arrays with a zero diagonal.
+class _Moments(NamedTuple):
+    """What one pass leaves; its arrays are the workspace's."""
 
-    ``out`` is a pair of n-by-n float buffers that receive the means and the
-    variances; without it the arrays are new.  Callers run
+    mean_rows: np.ndarray  # expected out-degrees
+    mean_cols: np.ndarray  # expected in-degrees
+    variance: np.ndarray | None  # n x n with a zero diagonal, when kept whole
+    var_rows: np.ndarray | None  # the Fisher matrix's out-effect diagonal
+    var_cols: np.ndarray | None  # its in-effect diagonal and corner
+    cross_min: float  # the smallest off-diagonal variance
+
+
+def _add_margins(block: np.ndarray, rows: slice, row_sums, col_sums, ones, spare) -> None:
+    """Add a row block's row and column sums into the margins, as mat-vecs
+    with a ones vector while the block is in cache."""
+    np.dot(block, ones, out=row_sums[rows])
+    if rows.start == 0:
+        np.dot(ones[: len(block)], block, out=col_sums)
+    else:
+        col_sums += np.dot(ones[: len(block)], block, out=spare)
+
+
+def _block_of(buffer: np.ndarray, block: slice, n: int) -> np.ndarray:
+    """Where a block goes: its rows of a whole buffer, or the first rows of
+    a block's scratch."""
+    return buffer[block] if len(buffer) == n else buffer[: block.stop - block.start]
+
+
+def _pair_moments(theta: ParamVector, family: WeightFamily, work: _Workspace) -> _Moments:
+    """The one pass over the edges: row and column sums of the edge means of
+    every ordered pair ``i != j`` and, when ``work`` has a variance buffer,
+    of the edge variances, with the smallest of them.
+
+    The pass runs in blocks of rows.  Each block's means and variances go to
+    the workspace's buffers (a whole buffer keeps them, with a zero
+    diagonal) and are summed before the next block.  Callers run
     :func:`validate_params` first, which makes every off-diagonal pair sum
     finite and in the family's domain, so no per-edge check runs here.
     """
     n = theta.n
-    if out is None:
-        out = (np.empty((n, n)), np.empty((n, n)) if var else None)
-    mean, variance = out[0], (out[1] if var else None)
     maths = _maths(family)
-    if not (maths.pair_moments and maths.pair_moments(theta, mean, variance)):
-        rows = n if maths.in_place else max(1, _BLOCK_EDGES // n)
-        for lo in range(0, n, rows):
-            block = slice(lo, lo + rows)
-            s = np.add(theta.alpha[block, None], theta.beta, out=mean[block])
-            # placeholder in every family's domain; zeroed below
-            np.fill_diagonal(s[:, block], 1.0)
-            maths.moments(family, s, None if variance is None else variance[block])
-    np.fill_diagonal(mean, 0.0)
-    if var:
-        np.fill_diagonal(variance, 0.0)
-    return mean, variance
+    kernel = maths.pair_moments(theta) if maths.pair_moments else None
+    rows = _block_rows(n, maths.in_place or kernel is not None)
+    means, variance, ones = work.means, work.variance, work.ones
+    mean_rows, mean_cols, var_rows, var_cols, spare = work.vectors
+    cross_min = math.inf
+    for lo in range(0, n, rows):
+        block = slice(lo, min(lo + rows, n))
+        mean = _block_of(means, block, n)
+        var = None if variance is None else _block_of(variance, block, n)
+        if kernel is None:
+            s = np.add(theta.alpha[block, None], theta.beta, out=mean)
+            np.fill_diagonal(s[:, block], 1.0)  # placeholder in every family's domain
+            maths.moments(family, s, var)
+        else:
+            kernel(block, mean, var)
+        np.fill_diagonal(mean[:, block], 0.0)
+        _add_margins(mean, block, mean_rows, mean_cols, ones, spare)
+        if var is not None:
+            np.fill_diagonal(var[:, block], np.inf)  # keep the diagonal out of the minimum
+            cross_min = min(cross_min, float(var.min()))
+            np.fill_diagonal(var[:, block], 0.0)
+            _add_margins(var, block, var_rows, var_cols, ones, spare)
+    if variance is None:
+        return _Moments(mean_rows, mean_cols, None, None, None, math.nan)
+    whole = variance if len(variance) == n else None
+    return _Moments(mean_rows, mean_cols, whole, var_rows, var_cols, cross_min)
 
 
-def _margins(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column sums of an n-by-n array, as mat-vecs with a ones vector."""
-    ones = np.ones(pairs.shape[0])
-    return pairs @ ones, ones @ pairs
+def _edge_means(theta: ParamVector, family: WeightFamily) -> np.ndarray:
+    """The n-by-n edge means with a zero diagonal, new; the binary sampler's input."""
+    work = _Workspace(theta.n, family, means="whole", variance=None)
+    _pair_moments(theta, family, work)
+    return work.means
 
 
 def bi_degrees(graph: Graph) -> BiDegree:
@@ -653,8 +728,8 @@ def bi_degrees(graph: Graph) -> BiDegree:
 def expected_degrees(theta: ParamVector, family: WeightFamily) -> BiDegree:
     """Expected bi-degree sequence under the model at ``theta``."""
     validate_params(theta, family)
-    means, _ = _pair_moments(theta, family, var=False)
-    return BiDegree(*_margins(means))
+    moments = _pair_moments(theta, family, _Workspace(theta.n, family, variance=None))
+    return BiDegree(moments.mean_rows, moments.mean_cols)
 
 
 def moment_residual(
@@ -667,19 +742,19 @@ def moment_residual(
     identifiability constraint, so its residual is redundant).
 
     ``work`` is the fitting loop's workspace: the same pass then also
-    computes the edge variances and leaves them there for the Fisher build
-    at ``theta``.  The residual returned is a new array either way.
+    computes the edge variances, their margins and their minimum, and leaves
+    them there for the Fisher build at ``theta``.  The residual returned is a
+    new array either way.
     """
     validate_params(theta, family)
     if g.n != theta.n:
         raise ValueError(f"degree length {g.n} does not match parameter length {theta.n}")
     if work is None:
-        means, _ = _pair_moments(theta, family, var=False)
+        moments = _pair_moments(theta, family, _Workspace(theta.n, family, variance=None))
     else:
-        means, work.variance = _pair_moments(theta, family, var=True, out=work.buffers)
+        moments = work.last = _pair_moments(theta, family, work)
         work.theta = theta
-    out_degrees, in_degrees = _margins(means)
-    return np.concatenate([g.d - out_degrees, (g.b - in_degrees)[:-1]])
+    return np.concatenate([g.d - moments.mean_rows, (g.b - moments.mean_cols)[:-1]])
 
 
 def log_likelihood(theta: ParamVector, g: BiDegree, family: WeightFamily) -> float:

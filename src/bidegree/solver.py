@@ -9,8 +9,9 @@ takes cheap approximate-inverse steps until they stall or meet the
 tolerance, then exact ones.  Only an exact step ends a fit on a tolerance.
 
 Each trial step costs one pass over the edges: the residual pass also
-leaves the edge variances in the fit's workspace (two n x n buffers
-allocated once per fit), and the accepted trial's variances are the next
+leaves the edge variances, their margins and their minimum in the fit's
+workspace (one n x n buffer of variances, one row block of means and a few
+vectors, allocated once per fit), and the accepted trial's pass is the next
 step's Fisher matrix.  Step damping for the positive-rate families tests the
 full step in O(n) and evaluates the pair sums, in blocks of rows, only when
 it has to cut it.
@@ -93,8 +94,8 @@ class FitConfig:
     ``step_mode`` is "exact" (the Fisher system solved to 1e-13 relative
     residual by conjugate gradients on the Schur complement of the in-effect
     block, preconditioned by the approximate inverse, O(n^2) per step) or
-    "sapprox" (relaxed approximate inverse steps, O(n) each after the O(n^2)
-    Fisher build, until the residual meets the tolerance or is above half
+    "sapprox" (relaxed approximate inverse steps, O(n) each after the
+    O(n^2) edge pass, until the residual meets the tolerance or is above half
     its value two steps earlier; exact steps from then on, in the same loop
     and under the same budget).
     """
@@ -256,12 +257,13 @@ def newton_fit(
     """
     cfg = config or FitConfig()
     n = g.n
-    # Every pass of this fit writes into the workspace's two n x n buffers,
-    # and each residual pass leaves the edge variances there for the next
-    # Fisher build.  It is allocated before anything else so that the C
-    # allocator hands it the space the previous fit's buffers freed, before
-    # small arrays that outlive the fit split that space up.
-    work = _Workspace(n)
+    # Every pass of this fit writes into the workspace's buffer of variances
+    # and its block of means, and each residual pass leaves the variances and
+    # their margins there for the next Fisher build.  It is allocated before
+    # anything else so that the C allocator hands it the space the previous
+    # fit's buffers freed, before small arrays that outlive the fit split that
+    # space up.
+    work = _Workspace(n, family)
     theta = default_start(g, family) if theta0 is None else theta0
     validate_params(theta, family)
     if not theta.is_normalized:
@@ -366,7 +368,7 @@ def newton_diagnostics(
     """
     validate_params(theta0, family)
     n = g.n
-    work = _Workspace(n)
+    work = _Workspace(n, family)
     residual = moment_residual(theta0, g, family, work=work)
     fisher = fisher_info(theta0, family, work=work)
     r = float(np.abs(solve_structured(fisher, residual)).max())

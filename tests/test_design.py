@@ -15,6 +15,15 @@ one) outside ``fisher.dense_inverse``, the dense test oracle.
 Both step engines share one Newton loop, so the step mode is decided in one
 place: a comparison with a ``.step_mode`` attribute appears only in
 ``FitConfig``'s validation and once in ``newton_fit``.
+
+A Newton trial reads the edges once: ``model._pair_moments`` is the one pass,
+and it sums the margins of each row block while the block is in cache.  So a
+family kernel (a ``.moments(`` or ``.pair_moments(`` call, or a call of a
+``_<family>_moments`` function) runs only inside that pass, the per-edge
+helpers ``edge_mean`` and ``edge_variance``, and the finite inverse mean.  No
+code takes the margins of an n x n array outside the pass's
+``_add_margins``: no ``_margins`` helper, no mat-vec with a ones vector and
+no axis sum, except ``bi_degrees``, which sums the observed weights.
 """
 
 import ast
@@ -32,6 +41,13 @@ ALLOWED = {
 }
 LINALG_ALLOWED = {("fisher.py", "dense_inverse")}
 STEP_MODE_ALLOWED = {("solver.py", "FitConfig.__post_init__"), ("solver.py", "newton_fit")}
+KERNEL_ALLOWED = {
+    ("model.py", "_pair_moments"),
+    ("model.py", "edge_mean"),
+    ("model.py", "edge_variance"),
+    ("model.py", "_finite_inverse_mean"),
+}
+MARGIN_ALLOWED = {("model.py", "_add_margins"), ("model.py", "bi_degrees")}
 
 
 def _is_kind(node) -> bool:
@@ -85,6 +101,63 @@ def _is_step_mode(node) -> bool:
 
 def _is_step_mode_test(node) -> bool:
     return isinstance(node, ast.Compare) and any(map(_is_step_mode, [node.left, *node.comparators]))
+
+
+def _is_kernel_call(node) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        return func.attr in ("moments", "pair_moments")
+    return (
+        isinstance(func, ast.Name)
+        and func.id.startswith("_")
+        and func.id.endswith("_moments")
+        and func.id != "_pair_moments"
+    )
+
+
+def _is_ones(node) -> bool:
+    """A ones vector: a name that says so, a slice of one, or ``np.ones(...)``."""
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+    return name == "ones" or name.startswith("ones_") or name.endswith("_ones")
+
+
+def _is_margin(node) -> bool:
+    if isinstance(node, (ast.Name, ast.Attribute, ast.FunctionDef)):
+        name = {ast.Name: "id", ast.Attribute: "attr", ast.FunctionDef: "name"}[type(node)]
+        if getattr(node, name) == "_margins":
+            return True
+    if isinstance(node, ast.alias) and node.name == "_margins":
+        return True
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+        return _is_ones(node.left) or _is_ones(node.right)
+    if isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name)):
+        func = node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+        if func in ("dot", "matmul", "inner"):
+            return any(map(_is_ones, node.args))
+        if func == "reduce":
+            return True  # a ufunc reduction sums along axis 0 unless told otherwise
+        if func == "sum":
+            owner = getattr(node.func, "value", None)
+            method = owner is not None and getattr(owner, "id", None) not in ("np", "numpy")
+            axis_at = 0 if method else 1  # x.sum(axis) or np.sum(x, axis)
+            return len(node.args) > axis_at or any(kw.arg == "axis" for kw in node.keywords)
+    return False
+
+
+def kernel_calls(source: str) -> list[tuple[str, int]]:
+    """``(enclosing function, line)`` of every call of a family's edge kernel."""
+    return _scan(source, _is_kernel_call)
+
+
+def margins(source: str) -> list[tuple[str, int]]:
+    """``(enclosing function, line)`` of every row or column sum of an array."""
+    return _scan(source, _is_margin)
 
 
 def kind_dispatches(source: str) -> list[tuple[str, int]]:
@@ -174,3 +247,46 @@ def test_one_step_mode_decision():
     assert sites.count(("solver.py", "newton_fit")) == 1
     # the validation is found too, so the scan covers solver.py
     assert ("solver.py", "FitConfig.__post_init__") in sites
+
+
+def test_scanner_sees_kernel_calls_and_margins():
+    source = '''
+from .model import _margins
+def f(np, rec, maths, family, s, x, ones, cross, p):
+    mean = rec.moments(family, s)[0]
+    kernel = maths.pair_moments(theta)
+    both = _finite_moments(family, s, None)
+    a, b = _margins(x)
+    rows, cols = x @ ones, np.ones(n) @ x
+    rows = np.dot(x, ones[:5], out=rows)
+    cols = x.sum(axis=0) + np.sum(x, 1) + np.add.reduce(x, axis=0)
+    total = np.sum(x) + np.add.reduce(x)
+    return p @ cross, x.sum(), rec.log_partition(family, s), maths.inverse_mean(family, s)
+def _margins(pairs):
+    return _pair_moments(theta, family, work)
+'''
+    assert [line for _, line in kernel_calls(source)] == [4, 5, 6]
+    assert [line for _, line in margins(source)] == [2, 7, 8, 8, 9, 10, 10, 10, 11, 13]
+
+
+def test_edge_kernels_run_only_in_the_pass():
+    stray, seen = [], set()
+    for path in SOURCES:
+        for scope, line in kernel_calls(path.read_text()):
+            seen.add((path.name, scope))
+            if (path.name, scope) not in KERNEL_ALLOWED:
+                stray.append(f"{path.name}:{line} in {scope or 'module'}")
+    assert not stray, "edge kernel called outside the edge pass: " + ", ".join(stray)
+    # the pass's own call is found, so the scan covers model.py
+    assert ("model.py", "_pair_moments") in seen
+
+
+def test_margins_only_in_the_pass():
+    stray, seen = [], set()
+    for path in SOURCES:
+        for scope, line in margins(path.read_text()):
+            seen.add((path.name, scope))
+            if (path.name, scope) not in MARGIN_ALLOWED:
+                stray.append(f"{path.name}:{line} in {scope or 'module'}")
+    assert not stray, "margins taken outside the edge pass: " + ", ".join(stray)
+    assert ("model.py", "_add_margins") in seen

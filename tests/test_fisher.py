@@ -48,7 +48,6 @@ def synthetic_fisher(cross):
         row_sums=cross.sum(axis=1),
         col_sums=cross.sum(axis=0),
         cross_min=float(off.min()),
-        cross_max=float(off.max()),
     )
 
 
@@ -250,7 +249,6 @@ class TestDenseInverse:
             row_sums=np.array([0.9, 0.8]),
             col_sums=np.array([0.7, fisher.col_sums[1]]),
             cross_min=0.2,
-            cross_max=0.3,
         )
         assert np.allclose(dense_inverse(boosted), adj / det, atol=1e-12)
 
@@ -448,7 +446,6 @@ class TestApproxError:
             row_sums=np.array([0.9, 0.8]),
             col_sums=np.array([0.7, 0.6]),
             cross_min=0.2,
-            cross_max=0.3,
         )
         exact = np.linalg.inv(materialize(fisher))
         approx = materialize_approx(approx_inverse(fisher))
@@ -490,7 +487,6 @@ class TestApproxError:
             row_sums=np.ones(5001),
             col_sums=np.ones(5001),
             cross_min=1.0,
-            cross_max=1.0,
         )
         with pytest.raises(ValueError):
             materialize(big)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,37 @@ class TestPlugInVariances:
         fisher = fisher_info(theta, GEOMETRIC)
         assert np.allclose(cov.v_hat_diag[:12], fisher.row_sums, atol=1e-14)
         assert np.allclose(cov.v_hat_diag[12:], fisher.col_sums, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "family",
+        [BINARY, EXPONENTIAL, GEOMETRIC, WeightFamily.finite(4)],
+        ids=lambda f: f.label,
+    )
+    def test_equals_fisher_margins_bit_for_bit(self, family):
+        # n=300 takes several row blocks for every family
+        theta = design_params(SimDesign(family, 300, 1.5))
+        cov = plug_in_variances(theta, family)
+        fisher = fisher_info(theta, family)
+        assert np.array_equal(cov.v_hat_diag, np.concatenate([fisher.row_sums, fisher.col_sums]))
+
+    @pytest.mark.parametrize(
+        "family",
+        [BINARY, EXPONENTIAL, GEOMETRIC, WeightFamily.finite(4)],
+        ids=lambda f: f.label,
+    )
+    def test_allocates_no_pair_matrix(self, family):
+        # The pass keeps its means and variances in one row block each; the
+        # Fisher build it replaced kept two n x n arrays.
+        n = 1000
+        theta = design_params(SimDesign(family, n, 1.5))
+        plug_in_variances(theta, family)
+        tracemalloc.start()
+        try:
+            plug_in_variances(theta, family)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.2 * n * n * 8
 
     def test_level_validated(self):
         theta = ParamVector(np.zeros(4), np.zeros(4))

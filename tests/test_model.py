@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bidegree.model
+
 from bidegree.fisher import fisher_info
 
 from bidegree.model import (
@@ -24,7 +26,7 @@ from bidegree.model import (
     moment_residual,
     validate_params,
 )
-from bidegree.model import _maths, _min_pair_sum, _pair_moments
+from bidegree.model import _edge_means, _maths, _min_pair_sum, _pair_moments, _Workspace
 
 BINARY = WeightFamily.binary()
 EXPONENTIAL = WeightFamily.exponential()
@@ -220,7 +222,8 @@ class TestEdgeKernel:
         n = len(alpha)
         beta = np.random.default_rng(seed).uniform(-400.0, 400.0, n)
         theta = ParamVector(alpha, beta)
-        mean, var = _pair_moments(theta, BINARY, var=True)
+        work = _Workspace(n, BINARY, means="whole")
+        mean, var = work.means, _pair_moments(theta, BINARY, work).variance
         s = theta.pair_sums()
         inner = ~np.eye(n, dtype=bool) & (np.abs(s) <= 700.0)
         outer = ~np.eye(n, dtype=bool) & (np.abs(s) > 700.0)
@@ -228,7 +231,7 @@ class TestEdgeKernel:
         assert_matches_mp(BINARY, s[inner], mean[inner], var[inner])
         # past 700 the small results are subnormal: only an absolute check is meaningful
         assert_matches_mp(BINARY, s[outer], mean[outer], var[outer], atol=1e-300)
-        assert np.array_equal(_pair_moments(theta, BINARY, var=False)[0], mean)
+        assert np.array_equal(_edge_means(theta, BINARY), mean)
 
     @pytest.mark.parametrize(
         "family, low, high",
@@ -414,6 +417,28 @@ class TestBiDegree:
         with pytest.raises(ValueError):
             BiDegree([-1.0, 1.0], [0.0, 0.0])
 
+    def test_totals_of_large_weights_agree_to_rounding(self):
+        # Real weights with mean 1e4 at n=1000: the row and column sums add
+        # the same weights in two orders, and their totals differ by an ulp,
+        # more than an absolute tolerance of 1e-9 n.
+        w = np.random.default_rng(11).exponential(1e4, (1000, 1000))
+        np.fill_diagonal(w, 0.0)
+        d, b = w.sum(axis=1), w.sum(axis=0)
+        assert 1e-9 * 1000 < abs(d.sum() - b.sum()) < 1e-15 * d.sum()
+        g = bi_degrees(Graph(w))
+        assert np.array_equal(g.d, d) and np.array_equal(g.b, b)
+
+    @pytest.mark.parametrize(
+        "d, b, message",
+        [
+            ([1e10, 1.0], [1e10, 2e3], "10000000001.0 vs 10000002000.0"),
+            ([1.0, 2.0], [1.0, 1.0], "3.0 vs 2.0"),
+        ],
+    )
+    def test_disagreeing_totals_rejected_as_plain_floats(self, d, b, message):
+        with pytest.raises(ValueError, match=f"totals disagree: {re.escape(message)}$"):
+            BiDegree(d, b)
+
     @pytest.mark.parametrize(
         "d, b",
         [
@@ -483,6 +508,114 @@ class TestExpectedDegrees:
             theta = random_params(fam, 30, rng)
             g = expected_degrees(theta, fam)
             assert abs(g.d.sum() - g.b.sum()) <= 1e-9 * 30**2
+
+
+def whole_matrix_moments(theta, family):
+    """Reference for the edge pass ``_pair_moments``: the pass as it was
+    before it ran in cache-sized blocks.  The family kernel runs on whole
+    n x n arrays, with the binary rank-one product where
+    ``|alpha|_inf + |beta|_inf <= 700``, and the margins are mat-vecs with a
+    ones vector."""
+    n = theta.n
+    s = theta.pair_sums()
+    np.fill_diagonal(s, 1.0)
+    variance = np.empty_like(s)
+    if family == BINARY and np.abs(theta.alpha).max() + np.abs(theta.beta).max() <= 700.0:
+        t = np.exp(-theta.alpha)[:, None] * np.exp(-theta.beta)
+        mean = 1.0 / (1.0 + t)
+        variance = t * mean * mean
+    else:
+        mean, variance = _maths(family).moments(family, s, variance)
+    np.fill_diagonal(mean, 0.0)
+    np.fill_diagonal(variance, 0.0)
+    ones = np.ones(n)
+    cross_min = variance[~np.eye(n, dtype=bool)].min()
+    return mean @ ones, ones @ mean, variance, variance @ ones, ones @ variance, cross_min
+
+
+PASS_FAMILIES = [BINARY, EXPONENTIAL, GEOMETRIC, WeightFamily.finite(2), WeightFamily.finite(4)]
+
+
+def pass_params(family, n, seed, scale):
+    """Effects for the pass tests: rate families get positive pair sums up to
+    ``2 scale``, the others pair sums in ``[-2 scale, 2 scale]``."""
+    rng = np.random.default_rng(seed)
+    low = 0.01 if family.positive_pair_sums else -scale
+    alpha, beta = rng.uniform(low, scale, n), rng.uniform(low, scale, n)
+    return ParamVector(alpha, beta, negated=family.negated)
+
+
+def check_pass(family, theta, rows, variance):
+    """Run the pass in blocks of ``rows`` rows and compare it with the reference."""
+    n = theta.n
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bidegree.model, "_CACHE_EDGES", rows * n)
+        patch.setattr(bidegree.model, "_BLOCK_EDGES", rows * n)
+        work = _Workspace(n, family, variance=variance)
+        got = _pair_moments(theta, family, work)
+    assert len(work.means) == min(rows, n)
+    ref = whole_matrix_moments(theta, family)
+    close = dict(rtol=1e-12, atol=0.0)
+    assert np.allclose(got.mean_rows, ref[0], **close)
+    assert np.allclose(got.mean_cols, ref[1], **close)
+    if variance is None:
+        assert got.variance is None and got.var_rows is None and got.var_cols is None
+        return
+    assert (got.variance is not None) == (variance == "whole" or rows >= n)
+    if got.variance is not None:
+        assert np.allclose(got.variance, ref[2], **close)
+        assert np.all(np.diagonal(got.variance) == 0.0)
+    assert np.allclose(got.var_rows, ref[3], **close)
+    assert np.allclose(got.var_cols, ref[4], **close)
+    assert got.cross_min == pytest.approx(ref[5], rel=1e-12, abs=0.0)
+
+
+class TestEdgePass:
+    """The one pass over the edges, in row blocks, leaves the margins and the
+    smallest variance that whole-matrix passes and mat-vecs would."""
+
+    @pytest.mark.parametrize("variance", ["whole", "block", None])
+    @pytest.mark.parametrize(
+        "n, rows", [(6, 6), (6, 9), (8, 2), (7, 3), (7, 1)],
+        ids=["one-block", "block-beyond-n", "several", "short-last", "single-rows"],
+    )
+    @pytest.mark.parametrize("family", PASS_FAMILIES, ids=lambda f: f.label)
+    def test_blocks(self, family, n, rows, variance):
+        check_pass(family, pass_params(family, n, 5, 2.0), rows, variance)
+
+    @pytest.mark.parametrize("rows", [2, 3, 5])
+    def test_binary_per_edge_fallback(self, rows):
+        # |alpha| + |beta| > 700: the rank-one product would overflow, so the
+        # per-edge kernel runs, in blocks of rows too
+        theta = pass_params(BINARY, 5, 7, 400.0)
+        assert np.abs(theta.alpha).max() + np.abs(theta.beta).max() > 700.0
+        assert _maths(BINARY).pair_moments(theta) is None
+        check_pass(BINARY, theta, rows, "whole")
+
+    @given(
+        st.sampled_from(PASS_FAMILIES),
+        st.integers(2, 12),
+        st.integers(1, 14),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.5, 3.0, 30.0, 400.0]),
+        st.sampled_from(["whole", "block", None]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_whole_matrix_reference(self, family, n, rows, seed, scale, variance):
+        check_pass(family, pass_params(family, n, seed, scale), rows, variance)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.label)
+    def test_fisher_and_degrees_come_from_the_pass(self, family):
+        theta = random_params(family, 300, np.random.default_rng(4))
+        ref = whole_matrix_moments(theta, family)
+        fisher = fisher_info(theta, family)
+        degrees = expected_degrees(theta, family)
+        for got, want in zip(
+            (degrees.d, degrees.b, fisher.cross, fisher.row_sums, fisher.col_sums), ref
+        ):
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        assert fisher.cross_min == pytest.approx(ref[5], rel=1e-12)
+        assert fisher.cross_max == ref[2].max()
 
 
 class TestMomentResidual:

@@ -18,6 +18,7 @@ from bidegree.model import (
     InvalidParameterError,
     ParamVector,
     WeightFamily,
+    _Moments,
     bi_degrees,
     edge_mean,
     expected_degrees,
@@ -456,11 +457,12 @@ class TestSapproxHandover:
         assert calls["approx"] >= 15 and 1 <= calls["exact"] <= 2
 
 
-def tensor_pair_moments(theta, family, var, out=None):
+def tensor_pair_moments(theta, family, work):
     """Reference for ``bidegree.model._pair_moments``: the per-family formulas
     the one-pass kernel replaced, with the finite family's moments taken from
-    an n x n x q tensor of normalized pmf weights.  It ignores the buffers in
-    ``out`` and returns new arrays, so the fit must use the arrays returned."""
+    an n x n x q tensor of normalized pmf weights, and margins summed over the
+    whole matrices.  It ignores the buffers in ``work`` and returns new
+    arrays, so the fit must use the arrays returned."""
     s = theta.pair_sums()
     np.fill_diagonal(s, 1.0)
     if family.kind == "binary":
@@ -487,7 +489,11 @@ def tensor_pair_moments(theta, family, var, out=None):
         variance = p @ support**2 - mean**2
     np.fill_diagonal(mean, 0.0)
     np.fill_diagonal(variance, 0.0)
-    return mean, (variance if var else None)
+    ones = np.ones(theta.n)
+    if work.variance is None:
+        return _Moments(mean @ ones, ones @ mean, None, None, None, math.nan)
+    off = variance[~np.eye(theta.n, dtype=bool)]
+    return _Moments(mean @ ones, ones @ mean, variance, variance @ ones, ones @ variance, off.min())
 
 
 class TestNewtonDiagnostics:
@@ -639,16 +645,17 @@ class TestDamping:
 
 
 class TestFitBuffers:
-    """A fit's edge passes write into two n x n buffers it allocates once;
-    nothing that leaves a public function may point into them."""
+    """A fit's edge passes write into one n x n buffer of variances and one
+    row block of means, which it allocates once; nothing that leaves a public
+    function may point into them."""
 
     @pytest.fixture
     def workspaces(self, monkeypatch):
         made = []
 
         class Recording(bidegree.model._Workspace):
-            def __init__(self, n):
-                super().__init__(n)
+            def __init__(self, n, family):
+                super().__init__(n, family)
                 made.append(self)
 
         monkeypatch.setattr(bidegree.solver, "_Workspace", Recording)
@@ -676,8 +683,11 @@ class TestFitBuffers:
             expected.b,
             plug_in_variances(theta, family).v_hat_diag,
         ]
+        work = workspaces[0]
+        # the variances, the block of means and the margin vectors
+        buffers = (work.variance, work.means, work.vectors, work.ones)
         for k, array in enumerate(arrays):
-            for buffer in workspaces[0].buffers:
+            for buffer in buffers:
                 assert not np.shares_memory(array, buffer)
             for other in arrays[k + 1 :]:
                 assert not np.shares_memory(array, other)
@@ -687,7 +697,7 @@ class TestFitBuffers:
         _, g = sampled_instance(family, 20, 3)
         theta = default_start(g, family)
         other = theta.with_step(np.full(39, 0.01))
-        work = bidegree.model._Workspace(20)
+        work = bidegree.model._Workspace(20, family)
         bidegree.model.moment_residual(theta, g, family, work=work)
         for point in (theta, other):
             fresh = bidegree.fisher.fisher_info(point, family)
@@ -716,15 +726,18 @@ class TestFitBuffers:
 
     @pytest.mark.parametrize(
         "family, bound",
-        [(BINARY, 2.2), (FINITE4, 2.6), (GEOMETRIC, 2.8), (EXPONENTIAL, 2.8)],
+        [(BINARY, 1.6), (FINITE4, 1.6), (GEOMETRIC, 2.1), (EXPONENTIAL, 2.1)],
         ids=["binary", "finite:4", "geometric", "exponential"],
     )
-    def test_fit_allocates_two_buffers(self, family, bound):
+    def test_fit_allocates_one_buffer(self, family, bound):
         # Peak traced allocation of one warm fit, in units of one n x n array:
-        # the two buffers plus O(n) vectors and the kernels' row-block
-        # temporaries.  Before the buffers, fits peaked at 3.04 (binary),
-        # 5.15 (finite:4), 4.92 (geometric) and 5.06 (exponential) units,
-        # from a new n x n array per pass and per damping test.
+        # the variances, one row block of means (0.41 units at 2**16 edges,
+        # 0.1 at the finite kernel's 16000), O(n) vectors and the row-block
+        # temporaries of the finite kernel and the damping cut.  They peak at
+        # 1.48 (binary), 1.46 (finite:4), 1.94 (geometric) and 1.93
+        # (exponential) units.  With two n x n buffers, fits peaked at 2.06,
+        # 2.35, 2.52 and 2.51; before the buffers, at 3.04, 5.15, 4.92 and
+        # 5.06, from a new n x n array per pass and per damping test.
         n = 400
         design = design_params(SimDesign(family, n, ramp_magnitude("loglog", n)))
         g = bi_degrees(sample_graph(design, family, 5))
