@@ -13,8 +13,22 @@ leaves the edge variances, their margins and their minimum in the fit's
 workspace (one n x n buffer of variances, one row block of means and a few
 vectors, allocated once per fit), and the accepted trial's pass is the next
 step's Fisher matrix.  Step damping for the positive-rate families tests the
-full step in O(n) and evaluates the pair sums, in blocks of rows, only when
-it has to cut it.
+full step in O(n) and evaluates the pair sums, in blocks of rows of the
+workspace's idle block of means, only when it has to cut it.
+
+A default fit (no ``theta0``) of n >= ``_CLASS_GATE`` vertices that passes
+the existence screen starts from its degree-class model rather than the
+closed-form ``default_start``.  The likelihood equations make each fitted
+effect a monotone function of its own degree, so the model with effects
+constant on six quantile classes of out-degree and six of in-degree already
+fixes the MLE closely: that 11-parameter model is solved by exact Newton on
+its own structured Fisher matrix, interpolated back to the vertices in
+degree, with an exact 1-D solve for the vertices outside the classes' mean
+degrees.  Fits then start inside Newton's quadratic range (binary n=1000
+fits take 4 edge passes instead of 6).  The stage costs O(n log n) and reads
+no n x n array; on any failure the fit starts from ``default_start``.
+Smaller fits, where the stage costs more than the iterations it saves, and
+fits given a ``theta0`` start where they did.
 
 The MLE exists iff the observed bi-degree sequence lies in the interior of
 the mean polytope, and is then unique.  Interior membership has no practical
@@ -41,6 +55,7 @@ import numpy as np
 
 from .fisher import (
     SingularFisherError,
+    StructuredFisher,
     apply_approx_inverse,
     approx_inverse,
     fisher_info,
@@ -52,9 +67,12 @@ from .model import (
     InvalidParameterError,
     ParamVector,
     WeightFamily,
+    _add_margins,
     _maths,
     _min_pair_sum,
     _Workspace,
+    edge_mean,
+    edge_variance,
     moment_residual,
     validate_params,
 )
@@ -159,6 +177,23 @@ _TOL_STEP = 1e-10
 # boundary point of the mean polytope: such a fit is NonExistent.
 _DIVERGENCE_BOUND = 30.0
 
+# The class stage of a default fit: degree classes per side, the smallest n
+# it runs at, its Newton budget and relative residual tolerance, and the
+# budget and step tolerance of the outlying vertices' 1-D solves.  Six
+# classes bring the design fits into Newton's quadratic range; eight or more
+# save one iteration more.  The gate keeps a margin above the n at which
+# binary fits, whose iterations are cheapest, break even: between 300 and 350
+# in ``scripts/start_sweep.py``, where the other families gain from 300 on.
+# The class model only approximates the vertex model, so its own solve need
+# not be tight: design fits took the same iterations with tolerances from
+# 1e-7 to 1e-3.
+_CLASSES = 6
+_CLASS_GATE = 400
+_CLASS_ITER = 10
+_CLASS_RTOL = 1e-4
+_VERTEX_ITER = 30
+_VERTEX_TOL = 1e-4
+
 
 # ---------------------------------------------------------------------------
 # feasibility screen and warm start
@@ -205,11 +240,232 @@ def default_start(g: BiDegree, family: WeightFamily) -> ParamVector:
 
 
 # ---------------------------------------------------------------------------
+# class stage: the start of a default fit from n = _CLASS_GATE on
+
+
+def _quantile_classes(x: np.ndarray) -> np.ndarray:
+    """Each vertex's class: ``_CLASSES`` classes of near-equal size by rank of x."""
+    label = np.empty(x.size, dtype=np.intp)
+    label[np.argsort(x)] = np.arange(x.size) * _CLASSES // x.size
+    return label
+
+
+def _class_system(
+    family: WeightFamily,
+    a: np.ndarray,
+    b: np.ndarray,
+    weight: np.ndarray,
+    out_sums: np.ndarray,
+    in_sums: np.ndarray,
+) -> tuple[np.ndarray, StructuredFisher]:
+    """Residual and Fisher matrix of the class model at class effects (a, b).
+
+    ``weight[k, l]`` counts the ordered pairs ``i != j`` from out-class k to
+    in-class l, so the weighted class-pair means and variances take the
+    places of the edge means and variances, the diagonal k = l included.
+    """
+    sums = a[:, None] + b
+    mean = weight * edge_mean(family, sums)
+    var = weight * edge_variance(family, sums)
+    k = len(a)
+    ones = np.ones(k)
+    mean_rows, mean_cols, var_rows, var_cols, spare = np.empty((5, k))
+    _add_margins(mean, slice(0, k), mean_rows, mean_cols, ones, spare)
+    _add_margins(var, slice(0, k), var_rows, var_cols, ones, spare)
+    residual = np.concatenate([out_sums - mean_rows, (in_sums - mean_cols)[:-1]])
+    return residual, StructuredFisher(var, var_rows, var_cols, float(var.min()))
+
+
+def _solve_classes(
+    family: WeightFamily,
+    a: np.ndarray,
+    b: np.ndarray,
+    weight: np.ndarray,
+    out_sums: np.ndarray,
+    in_sums: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The class MLE by exact Newton from (a, b) with ``b[-1] = 0``, or None
+    unless the residual meets ``_CLASS_RTOL`` within ``_CLASS_ITER`` steps.
+
+    The steps are ``newton_fit``'s: capped at ``_MAX_STEP``, damped for the
+    rate families so no class pair sum falls below half the current
+    smallest, and halved until the residual stops increasing.
+    """
+    k = len(a)
+    sign = -1.0 if family.negated else 1.0
+    tol = _CLASS_RTOL * max(float(out_sums.max()), float(in_sums.max()))
+    residual, fisher = _class_system(family, a, b, weight, out_sums, in_sums)
+    norm = float(np.abs(residual).max())
+    for _ in range(_CLASS_ITER):
+        if not norm > tol:  # met, or not a number
+            break
+        delta = sign * solve_structured(fisher, residual)
+        da, db = delta[:k], np.append(delta[k:], 0.0)
+        lam = min(1.0, _MAX_STEP / max(float(np.abs(delta).max()), 1e-300))
+        if family.positive_pair_sums:
+            sums, dsums = a[:, None] + b, lam * (da[:, None] + db)
+            shrinking = dsums < 0
+            cut = (0.5 * sums.min() - sums[shrinking]) / dsums[shrinking]
+            lam *= min(1.0, float(np.min(cut, initial=1.0)))
+        for _ in range(30):
+            trial = _class_system(family, a + lam * da, b + lam * db, weight, out_sums, in_sums)
+            if float(np.abs(trial[0]).max()) <= norm:
+                break
+            lam *= 0.5
+        a, b = a + lam * da, b + lam * db
+        residual, fisher = trial
+        norm = float(np.abs(residual).max())
+    return (a, b) if norm <= tol else None
+
+
+def _vertex_effects(
+    family: WeightFamily,
+    degrees: np.ndarray,
+    near_degrees: np.ndarray,
+    near_effects: np.ndarray,
+    other: np.ndarray,
+    counts: np.ndarray,
+    own: np.ndarray,
+) -> np.ndarray:
+    """Each vertex's effect x solving ``degree = sum_l w_l mu(x + other_l)``
+    with ``w_l = counts_l - [l == own]``, by bracketed Newton.
+
+    ``other`` holds the other side's class effects, ``counts`` its class
+    sizes and ``own`` the vertex's own class there.  With ``t`` the pair sum
+    whose edge mean is ``degree / (n-1)``, the root lies in
+    ``[t - max(other), t - min(other)]`` (every pair sum is on one side of t
+    at either end), cut at ``-min(other)`` for the rate families.  Newton
+    starts from the nearest class's effect ``near_effects``, moved by the
+    difference between t and that of the class's mean degree
+    ``near_degrees``; a Newton point outside the bracket is replaced by the
+    midpoint.
+    """
+    m = degrees.size
+    nm1 = float(counts.sum()) - 1.0
+    targets = _maths(family).inverse_mean(family, np.concatenate([degrees, near_degrees]) / nm1)
+    target = targets[:m]
+    lo, hi = target - other.max(), target - other.min()
+    floor = -float(other.min()) if family.positive_pair_sums else -math.inf
+    lo = np.maximum(lo, floor)
+    x = near_effects + target - targets[m:]
+    x = np.where((lo <= x) & (x <= hi) & (x > floor), x, 0.5 * (lo + hi))
+    rows = np.arange(m)
+    sign = -1.0 if family.negated else 1.0
+    for _ in range(_VERTEX_ITER):
+        sums = x[:, None] + other
+        mean = edge_mean(family, sums)
+        var = edge_variance(family, sums)
+        gap = mean @ counts - mean[rows, own] - degrees
+        slope = sign * (var @ counts - var[rows, own])
+        above = sign * gap > 0  # x lies above the root
+        np.copyto(hi, x, where=above)
+        np.copyto(lo, x, where=~above)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - gap / slope
+        inside = (lo <= newton) & (newton <= hi) & (newton > floor)
+        step = np.where(inside, newton, 0.5 * (lo + hi)) - x
+        x = x + step
+        if float(np.abs(step).max()) <= _VERTEX_TOL:
+            break
+    return x
+
+
+def _prolong(
+    family: WeightFamily,
+    degrees: np.ndarray,
+    sums: np.ndarray,
+    sizes: np.ndarray,
+    effects: np.ndarray,
+    other: np.ndarray,
+    other_sizes: np.ndarray,
+    other_label: np.ndarray,
+) -> np.ndarray:
+    """One side's vertex effects from its class effects.
+
+    The anchors are the class-mean degrees ``sums / sizes``; equal anchors
+    are merged, with their effects averaged by class size.  A vertex whose
+    degree lies within the anchors gets the effect interpolated linearly
+    between them; one outside gets the exact solve of its own likelihood
+    equation against the other side's class effects (``_vertex_effects``),
+    where extrapolation would put the rate families' pair sums near zero.
+    """
+    anchors, merged = np.unique(sums / sizes, return_inverse=True)
+    anchor_effects = np.bincount(merged, weights=effects * sizes) / np.bincount(
+        merged, weights=sizes
+    )
+    out = np.interp(degrees, anchors, anchor_effects)
+    outside = np.flatnonzero((degrees < anchors[0]) | (degrees > anchors[-1]))
+    if outside.size:
+        near = np.where(degrees[outside] < anchors[0], 0, anchors.size - 1)
+        out[outside] = _vertex_effects(
+            family,
+            degrees[outside],
+            anchors[near],
+            anchor_effects[near],
+            other,
+            other_sizes,
+            other_label[outside],
+        )
+    return out
+
+
+def _class_start(g: BiDegree, family: WeightFamily, fallback: ParamVector) -> ParamVector:
+    """A start near the MLE from the model whose effects are constant on
+    ``_CLASSES`` quantile classes of out-degree and as many of in-degree.
+
+    Out-class k has ``n_k`` vertices, in-class l has ``m_l``, and ``c_kl``
+    vertices lie in both, so ``W_kl = n_k m_l - c_kl`` ordered pairs i != j
+    join them; every ``W_kl`` is positive once each class has two vertices.
+    The class model's sufficient statistics are the class degree sums, a
+    linear image of (d, b), so its MLE exists whenever the graph's does.  It
+    is solved from the class means of ``fallback`` by ``_solve_classes``,
+    then prolonged to the vertices (``_prolong``) and normalized to
+    ``beta[-1] = 0``.  Any failure (the budget, a singular class Fisher
+    matrix, a value out of the family's domain) returns ``fallback`` itself.
+    """
+    if g.n < 2 * _CLASSES:
+        return fallback
+    k = _CLASSES
+    out_label, in_label = _quantile_classes(g.d), _quantile_classes(g.b)
+    out_sizes = np.bincount(out_label, minlength=k).astype(float)
+    in_sizes = np.bincount(in_label, minlength=k).astype(float)
+    shared = np.bincount(out_label * k + in_label, minlength=k * k).reshape(k, k)
+    weight = np.outer(out_sizes, in_sizes) - shared
+    out_sums = np.bincount(out_label, weights=g.d, minlength=k)
+    in_sums = np.bincount(in_label, weights=g.b, minlength=k)
+    a = np.bincount(out_label, weights=fallback.alpha, minlength=k) / out_sizes
+    b = np.bincount(in_label, weights=fallback.beta, minlength=k) / in_sizes
+    try:
+        solution = _solve_classes(family, a + b[-1], b - b[-1], weight, out_sums, in_sums)
+        if solution is None:
+            return fallback
+        a, b = solution
+        alpha = _prolong(family, g.d, out_sums, out_sizes, a, b, in_sizes, in_label)
+        beta = _prolong(family, g.b, in_sums, in_sizes, b, a, out_sizes, out_label)
+        shift = beta[-1]
+        alpha += shift
+        beta -= shift
+        start = ParamVector(alpha, beta, negated=family.negated)
+        validate_params(start, family)
+    except (SingularFisherError, InvalidParameterError):
+        return fallback
+    return start
+
+
+# ---------------------------------------------------------------------------
 # Newton iteration
 
 
-def _damping(theta: ParamVector, delta: np.ndarray, family: WeightFamily) -> float:
-    """Largest lambda in (0, 1] keeping min pair sum >= half its current value."""
+def _damping(
+    theta: ParamVector, delta: np.ndarray, family: WeightFamily, scratch: np.ndarray | None = None
+) -> float:
+    """Largest lambda in (0, 1] keeping min pair sum >= half its current value.
+
+    ``scratch`` is an array of n columns that a cut may overwrite; a fit
+    passes its workspace's block of means, idle between the step solve and
+    the trial pass.  Without one (or with fewer than four rows) the cut makes
+    its own, of ``_BLOCK_EDGES`` edges.
+    """
     if not family.positive_pair_sums:
         return 1.0
     n = theta.n
@@ -223,18 +479,33 @@ def _damping(theta: ParamVector, delta: np.ndarray, family: WeightFamily) -> flo
         return 1.0
     # Otherwise lambda is the smallest (target - s_ij) / ds_ij over the pairs
     # the step shrinks.  Cuts are common (a third of the steps of geometric
-    # n=200 Monte-Carlo fits), so the pairs are taken in blocks of rows: on
-    # whole n x n matrices the cut alone doubled a rate-family fit's peak
-    # allocation.
+    # n=200 Monte-Carlo fits), so the pairs are taken in blocks of rows, in
+    # quarters of the scratch: the shrink rates max(-ds_ij, 0), the headroom
+    # s_ij - target > 0, and the in-effect terms dbeta_j and beta_j copied
+    # down the rows once.  The quotient of headroom and shrink rate is the
+    # same float as (target - s_ij) / ds_ij where the step shrinks the pair
+    # and +inf where it does not, so no mask is needed.  Every sum adds
+    # arrays of one shape: a broadcasting ufunc allocates buffers of its own.
+    if scratch is None or len(scratch) < 4:
+        scratch = np.empty((4 * max(1, _BLOCK_EDGES // (4 * n)), n))
+    rows = len(scratch) // 4
+    rates, rooms, step_cols, cols = (scratch[k * rows : (k + 1) * rows] for k in range(4))
+    np.copyto(step_cols, dbeta)
+    np.copyto(cols, theta.beta)
     lam = 1.0
-    rows = max(1, _BLOCK_EDGES // n)
-    for lo in range(0, n, rows):
-        block = slice(lo, lo + rows)
-        dsums = dalpha[block, None] + dbeta
-        np.fill_diagonal(dsums[:, block], 0.0)  # the diagonal is no pair
-        shrinking = dsums < 0
-        sums = (theta.alpha[block, None] + theta.beta)[shrinking]
-        lam = min(lam, float(np.min((target - sums) / dsums[shrinking], initial=1.0)))
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only on the diagonal
+        for lo in range(0, n, rows):
+            block = slice(lo, min(lo + rows, n))
+            height = block.stop - lo
+            rate, room = rates[:height], rooms[:height]
+            np.copyto(rate, dalpha[block, None])
+            np.add(rate, step_cols[:height], out=rate)
+            np.maximum(np.subtract(0.0, rate, out=rate), 0.0, out=rate)  # never -0.0
+            np.copyto(room, theta.alpha[block, None])
+            np.subtract(np.add(room, cols[:height], out=room), target, out=room)
+            np.divide(room, rate, out=room)
+            np.fill_diagonal(room[:, block], np.inf)  # the diagonal is no pair
+            lam = min(lam, float(room.min()))
     return max(lam, 0.0)
 
 
@@ -274,6 +545,11 @@ def newton_fit(
     if screen is not Feasibility.FEASIBLE:
         resid = float(np.abs(moment_residual(theta, g, family)).max())
         return FitResult(theta, False, Existence.NON_EXISTENT, 0, resid, ())
+    # A default fit starts from the closed form; past the screen, from the
+    # gate on, the class stage refines that start (the closed form again if
+    # the stage fails).  A given theta0 is where the fit starts.
+    if theta0 is None and n >= _CLASS_GATE:
+        theta = _class_start(g, family, theta)
 
     sign = -1.0 if family.negated else 1.0
     trace: list[tuple[float, float]] = []
@@ -306,7 +582,7 @@ def newton_fit(
             break
         delta = sign * raw
         cap = min(1.0, _MAX_STEP / max(float(np.abs(delta).max()), 1e-300))
-        lam = cap * _damping(theta, cap * delta, family)
+        lam = cap * _damping(theta, cap * delta, family, work.means)
         # An exact step backtracks until the residual stops increasing; the
         # Newton direction always admits such a step, and the accepted trial
         # doubles as the next iteration's residual evaluation.  The relaxed

@@ -34,6 +34,12 @@ def run_script(name, *args):
             ["--families", "binary", "--n", "20", "--replications", "5"],
             "family,n,L_rule,i,j,coverage_pct,mean_ci_length,nonexist_pct,reps",
         ),
+        (
+            "start_sweep.py",
+            ["--families", "binary", "geometric", "--n", "20", "--graphs", "2", "--repeats", "1"],
+            "family,n,L_rule,graphs,closed_form_iterations,class_iterations,"
+            "closed_form_ms,class_ms,verdicts_differ",
+        ),
     ],
 )
 def test_script_prints_csv(name, args, header):

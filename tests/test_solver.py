@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from scipy.optimize import brentq
 from hypothesis import strategies as st
 
@@ -457,6 +457,125 @@ class TestSapproxHandover:
         assert calls["approx"] >= 15 and 1 <= calls["exact"] <= 2
 
 
+def _feasible_top(family, n):
+    """Just below the largest degree the screen lets through."""
+    return 0.95 * family.max_weight * (n - 1) if family.max_weight < math.inf else 5.0 * n
+
+
+@st.composite
+def class_stage_cases(draw):
+    """Degree sequences that pass the existence screen, shaped to strain the
+    class stage: all equal, many ties, a sampled ramp design (whose vertex n
+    has an outlying in-degree), one vertex far outside the others, and free
+    sequences, for many of which the class model or the MLE fails."""
+    family = draw(st.sampled_from(ALL_FAMILIES))
+    n = draw(st.integers(2 * bidegree.solver._CLASSES, 48))
+    shape = draw(st.sampled_from(["equal", "ties", "ramp", "outlier", "free"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = _feasible_top(family, n)
+    if shape == "ramp":
+        ramp = draw(st.floats(0.0, 2.0))
+        theta = design_params(SimDesign(family, n, ramp))
+        g = bi_degrees(sample_graph(theta, family, draw(st.integers(0, 2**32 - 1))))
+        d, b = g.d, g.b
+    else:
+        if shape == "equal":
+            d = np.full(n, draw(st.floats(0.05, 0.95)) * top)
+        elif shape == "ties":
+            values = rng.uniform(0.05, 1.0, draw(st.integers(2, 3))) * top
+            d = rng.choice(values, n)
+        else:
+            d = rng.uniform(0.05, 1.0, n) * top
+        if shape == "outlier":
+            d[rng.integers(n)] = draw(st.sampled_from([1e-3, 0.02, 1.0])) * top
+        b = rng.permutation(d)  # the same total
+    assume(existence_check(BiDegree(d, b), family) is Feasibility.FEASIBLE)
+    return family, BiDegree(d, b)
+
+
+class TestClassStart:
+    """The class stage refines a default fit's start from n =
+    ``_CLASS_GATE`` on; it returns a valid start or the closed-form one and
+    never raises."""
+
+    @given(class_stage_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_start_is_valid_or_the_closed_form(self, case):
+        family, g = case
+        fallback = default_start(g, family)
+        start = bidegree.solver._class_start(g, family, fallback)
+        if start is not fallback:
+            bidegree.model.validate_params(start, family)
+            assert start.n == g.n and start.is_normalized
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.label)
+    def test_start_is_closer_to_the_fit(self, family):
+        _, g = sampled_instance(family, 60, 4)
+        fallback = default_start(g, family)
+        start = bidegree.solver._class_start(g, family, fallback)
+        assert start is not fallback
+        theta_hat = newton_fit(g, family).theta_hat.free
+        assert np.abs(start.free - theta_hat).max() < 0.2 * np.abs(fallback.free - theta_hat).max()
+
+    def test_failures_return_the_closed_form_start(self, monkeypatch):
+        _, g = sampled_instance(GEOMETRIC, 60, 4)
+        fallback = default_start(g, GEOMETRIC)
+        with monkeypatch.context() as patch:
+            patch.setattr(bidegree.solver, "_CLASS_ITER", 1)  # the budget
+            assert bidegree.solver._class_start(g, GEOMETRIC, fallback) is fallback
+
+        def singular(fisher, rhs):
+            raise bidegree.fisher.SingularFisherError("forced")
+
+        monkeypatch.setattr(bidegree.solver, "solve_structured", singular)
+        assert bidegree.solver._class_start(g, GEOMETRIC, fallback) is fallback
+        small = BiDegree(np.full(11, 3.0), np.full(11, 3.0))  # too few vertices for the classes
+        small_fallback = default_start(small, GEOMETRIC)
+        assert bidegree.solver._class_start(small, GEOMETRIC, small_fallback) is small_fallback
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.label)
+    def test_default_fit_matches_the_closed_form_start(self, family):
+        # From the gate on, a default fit starts from the class stage: the
+        # same verdict and MLE, in no more iterations.
+        n = bidegree.solver._CLASS_GATE
+        design = design_params(SimDesign(family, n, ramp_magnitude("loglog", n)))
+        g = bi_degrees(sample_graph(design, family, derive_seed(77, 1)))
+        fit = newton_fit(g, family)
+        closed = newton_fit(g, family, theta0=default_start(g, family))
+        assert fit.existence is closed.existence is Existence.EXISTS
+        assert np.abs(fit.theta_hat.free - closed.theta_hat.free).max() <= 1e-8
+        assert fit.iterations <= closed.iterations
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.label)
+    def test_below_the_gate_fits_start_from_the_closed_form(self, family):
+        n = bidegree.solver._CLASS_GATE - 1
+        design = design_params(SimDesign(family, n, ramp_magnitude("loglog", n)))
+        g = bi_degrees(sample_graph(design, family, derive_seed(77, 2)))
+        fit = newton_fit(g, family)
+        closed = newton_fit(g, family, theta0=default_start(g, family))
+        assert fit.existence is closed.existence and fit.iterations == closed.iterations
+        assert np.array_equal(fit.theta_hat.alpha, closed.theta_hat.alpha)
+        assert np.array_equal(fit.theta_hat.beta, closed.theta_hat.beta)
+        assert fit.trace == closed.trace
+
+    def test_binary_n1000_fits_take_four_passes(self, monkeypatch):
+        # From the closed-form start these fits take 6 edge passes.
+        passes = []
+
+        def counted(*args, **kwargs):
+            passes.append(1)
+            return bidegree.model.moment_residual(*args, **kwargs)
+
+        monkeypatch.setattr(bidegree.solver, "moment_residual", counted)
+        n = 1000
+        design = design_params(SimDesign(BINARY, n, ramp_magnitude("loglog", n)))
+        for r in range(2):
+            g = bi_degrees(sample_graph(design, BINARY, derive_seed(77, r)))
+            passes.clear()
+            assert newton_fit(g, BINARY).converged
+            assert len(passes) <= 4
+
+
 def tensor_pair_moments(theta, family, work):
     """Reference for ``bidegree.model._pair_moments``: the per-family formulas
     the one-pass kernel replaced, with the finite family's moments taken from
@@ -597,17 +716,21 @@ class TestDamping:
         damping_cases(),
         st.sampled_from([EXPONENTIAL, GEOMETRIC]),
         st.sampled_from([1, 7, 40, 16000]),
+        st.sampled_from([None, 3, 4, 9, 64]),
     )
     @settings(max_examples=400, deadline=None)
-    def test_matches_full_matrix_formula(self, case, family, block_edges):
+    def test_matches_full_matrix_formula(self, case, family, block_edges, scratch_rows):
         # The O(n) test of the full step agrees with the reference's up to
         # rounding: the two ways of adding up (alpha_i + dalpha_i) +
         # (beta_j + dbeta_j) can put a tied minimum on either side.  Small
-        # row blocks make the cut run over several blocks, the last one short.
+        # row blocks make the cut run over several blocks, the last one short;
+        # a given scratch sets the blocks to a quarter of its rows (three rows
+        # are too few, and the cut makes its own).
         theta, delta = case
+        scratch = None if scratch_rows is None else np.full((scratch_rows, theta.n), np.nan)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(bidegree.solver, "_BLOCK_EDGES", block_edges)
-            lam = bidegree.solver._damping(theta, delta, family)
+            lam = bidegree.solver._damping(theta, delta, family, scratch)
         assert lam == pytest.approx(reference_damping(theta, delta, family), rel=0, abs=1e-12)
         assert 0.0 <= lam <= 1.0
 
@@ -638,6 +761,26 @@ class TestDamping:
             tracemalloc.stop()
         assert (lam == 1.0) == full and lam == reference_damping(theta, delta, GEOMETRIC)
         assert peak < (16 * n * 8 if full else 0.2 * n * n * 8)
+
+    def test_cut_writes_into_the_scratch(self):
+        # A fit hands the cut its idle block of means, so one forced cut
+        # allocates only length-n vectors (0.009 n x n arrays); with
+        # temporaries of its own in every row block it took 0.52.
+        n = 400
+        rng = np.random.default_rng(8)
+        alpha = rng.uniform(0.5, 2.0, n)
+        beta = np.append(rng.uniform(0.5, 2.0, n - 1), 0.0)
+        theta = ParamVector(alpha, beta, negated=True)
+        delta = -2.0 * rng.uniform(0.0, 1.0, 2 * n - 1)
+        scratch = bidegree.model._Workspace(n, GEOMETRIC).means
+        tracemalloc.start()
+        try:
+            lam = bidegree.solver._damping(theta, delta, GEOMETRIC, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lam < 1.0 and lam == reference_damping(theta, delta, GEOMETRIC)
+        assert peak < 0.05 * n * n * 8
 
     def test_sign_free_families_take_full_steps(self):
         theta = ParamVector(np.zeros(3), np.zeros(3))
@@ -726,27 +869,31 @@ class TestFitBuffers:
 
     @pytest.mark.parametrize(
         "family, bound",
-        [(BINARY, 1.6), (FINITE4, 1.6), (GEOMETRIC, 2.1), (EXPONENTIAL, 2.1)],
+        [(BINARY, 1.6), (FINITE4, 1.6), (GEOMETRIC, 1.7), (EXPONENTIAL, 1.7)],
         ids=["binary", "finite:4", "geometric", "exponential"],
     )
     def test_fit_allocates_one_buffer(self, family, bound):
         # Peak traced allocation of one warm fit, in units of one n x n array:
         # the variances, one row block of means (0.41 units at 2**16 edges,
         # 0.1 at the finite kernel's 16000), O(n) vectors and the row-block
-        # temporaries of the finite kernel and the damping cut.  They peak at
-        # 1.48 (binary), 1.46 (finite:4), 1.94 (geometric) and 1.93
-        # (exponential) units.  With two n x n buffers, fits peaked at 2.06,
-        # 2.35, 2.52 and 2.51; before the buffers, at 3.04, 5.15, 4.92 and
-        # 5.06, from a new n x n array per pass and per damping test.
+        # temporaries of the finite kernel.  The damping cut works in the
+        # block of means.  They peak at 1.48 (binary), 1.46 (finite:4), 1.55
+        # (geometric) and 1.55 (exponential) units, from the class start and
+        # from the closed form; the rate-family fits cut only from the latter.
+        # With their own temporaries, cuts took the rate families to 1.94 and
+        # 1.93.  With two n x n buffers, fits peaked at 2.06, 2.35, 2.52 and
+        # 2.51; before the buffers, at 3.04, 5.15, 4.92 and 5.06, from a new
+        # n x n array per pass and per damping test.
         n = 400
         design = design_params(SimDesign(family, n, ramp_magnitude("loglog", n)))
         g = bi_degrees(sample_graph(design, family, 5))
-        newton_fit(g, family)
-        tracemalloc.start()
-        try:
-            result = newton_fit(g, family)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert result.converged
-        assert peak / (n * n * 8) <= bound
+        for theta0 in (None, default_start(g, family)):
+            newton_fit(g, family, theta0)
+            tracemalloc.start()
+            try:
+                result = newton_fit(g, family, theta0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result.converged
+            assert peak / (n * n * 8) <= bound
