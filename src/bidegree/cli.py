@@ -255,6 +255,8 @@ def _cmd_experiment(args) -> int:
 def _cmd_diagnose(args) -> int:
     family = WeightFamily.parse(args.family)
     sweep = [int(part) for part in args.n_sweep.split(",")]
+    if min(sweep) < 3:  # n = 2: two edges, three free effects, a singular Fisher matrix
+        raise ValueError(f"--n-sweep values must be at least 3, got {min(sweep)}")
     lines = ["n,max_abs_err,bound_shape,fitted_c1,r,rho,contraction_ok"]
     for n in sweep:
         ramp = args.L if args.L is not None else ramp_magnitude(args.L_rule, n)

@@ -59,7 +59,6 @@ __all__ = [
     "edge_variance",
     "expected_degrees",
     "log_likelihood",
-    "log_partition_term",
     "moment_residual",
 ]
 
@@ -270,10 +269,10 @@ class Graph:
 _EXP_SAFE = 700.0
 
 # Edges per row block where a whole-graph evaluation needs temporaries (the
-# finite kernel, the binary per-edge fallback, the damping cut).  A block's
-# temporaries then stay under 128 kB, which the C allocator serves from its
-# free lists: with blocks of 2**15 edges, a finite:4 pass at n=500 took 1200
-# page faults and twice the time.
+# finite kernel, the binary per-edge fallback).  A block's temporaries then
+# stay under 128 kB, which the C allocator serves from its free lists: with
+# blocks of 2**15 edges, a finite:4 pass at n=500 took 1200 page faults and
+# twice the time.
 _BLOCK_EDGES = 16000
 
 # Edges per row block of the kernels that allocate nothing (the rate
@@ -456,7 +455,7 @@ class _FamilyMaths:
     arguments; ``family`` carries q for ``finite:q``."""
 
     moments: Callable  # (family, s, variance=None) -> (mean, variance); the means overwrite s
-    log_partition: Callable  # (family, s) -> per edge, in the stored frame
+    log_partition: Callable  # (family, s) -> per edge, in the stored frame; slope = mean
     inverse_mean: Callable  # (family, m) -> the pair sum whose edge mean is m
     sample: Callable  # (theta, family, gen) -> n x n weights, diagonal unspecified
     lipschitz: Callable  # (family, n - 1, lo, hi) -> (K1, K2) for pair sums in [lo, hi]
@@ -547,16 +546,6 @@ def edge_mean(family: WeightFamily, s):
 def edge_variance(family: WeightFamily, s):
     """Edge-weight variance at pair sum ``s``; equals the Fisher cross entry."""
     return _per_edge(family, s, lambda rec, x: rec.moments(family, x, np.empty_like(x))[1])
-
-
-def log_partition_term(family: WeightFamily, s):
-    """Per-edge log-partition in the stored frame.
-
-    Its derivative in ``s`` is ``edge_mean`` for the binary family and
-    ``+edge_mean`` as well for the negated families, so the gradient of
-    :func:`log_likelihood` is exactly :func:`moment_residual`.
-    """
-    return _per_edge(family, s, lambda rec, x: rec.log_partition(family, x))
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ Each trial step costs one pass over the edges: the residual pass also
 leaves the edge variances, their margins and their minimum in the fit's
 workspace (one n x n buffer of variances, one row block of means and a few
 vectors, allocated once per fit), and the accepted trial's pass is the next
-step's Fisher matrix.  Step damping for the positive-rate families tests the
-full step in O(n) and evaluates the pair sums, in blocks of rows of the
-workspace's idle block of means, only when it has to cut it.
+step's Fisher matrix.  Step damping for the positive-rate families reads no
+n x n array: it finds the smallest pair sum in O(n), once for the full step
+and once per step of Dinkelbach's iteration when it has to cut it.
 
 A default fit (no ``theta0``) of n >= ``_CLASS_GATE`` vertices that passes
 the existence screen starts from its degree-class model rather than the
@@ -62,7 +62,6 @@ from .fisher import (
     solve_structured,
 )
 from .model import (
-    _BLOCK_EDGES,
     BiDegree,
     InvalidParameterError,
     ParamVector,
@@ -199,15 +198,14 @@ _VERTEX_TOL = 1e-4
 # feasibility screen and warm start
 
 
-def existence_check(g: BiDegree, family: WeightFamily, n: int | None = None) -> Feasibility:
+def existence_check(g: BiDegree, family: WeightFamily) -> Feasibility:
     """Fast necessary screen on coordinate bounds of the mean polytope.
 
     Feasible is necessary, not sufficient; the final verdict comes from the
     Newton run.  Degrees outside the closed support range are Infeasible,
     degrees on its boundary (e.g. an isolated or saturated vertex) Boundary.
     """
-    n = g.n if n is None else n
-    hi = family.max_weight * (n - 1)
+    hi = family.max_weight * (g.n - 1)
     values = np.concatenate([g.d, g.b])  # finite; hi is inf for the rate families
     if np.any(values < 0) or np.any(values > hi):
         return Feasibility.INFEASIBLE
@@ -456,57 +454,34 @@ def _class_start(g: BiDegree, family: WeightFamily, fallback: ParamVector) -> Pa
 # Newton iteration
 
 
-def _damping(
-    theta: ParamVector, delta: np.ndarray, family: WeightFamily, scratch: np.ndarray | None = None
-) -> float:
+def _damping(theta: ParamVector, delta: np.ndarray, family: WeightFamily) -> float:
     """Largest lambda in (0, 1] keeping min pair sum >= half its current value.
 
-    ``scratch`` is an array of n columns that a cut may overwrite; a fit
-    passes its workspace's block of means, idle between the step solve and
-    the trial pass.  Without one (or with fewer than four rows) the cut makes
-    its own, of ``_BLOCK_EDGES`` edges.
+    With ``target`` that half, the cut is the smallest ratio
+    ``(s_ij - target) / -ds_ij`` over the pairs the step shrinks, a
+    fractional program, solved by Dinkelbach's iteration (Dinkelbach 1967)
+    in O(n) per step.  From lambda = 1 (the full step), the smallest pair sum
+    of ``theta + lambda * delta`` (``_min_pair_sum``) either meets the target,
+    and lambda is the cut, or names a pair whose ratio is the next, smaller
+    lambda.  The ratios are the same floats as those of the whole pair-sum
+    matrix.  Each lambda is a pair's ratio, below the last, so the iteration
+    ends; it falls superlinearly, in a few steps per cut.
     """
     if not family.positive_pair_sums:
         return 1.0
     n = theta.n
-    dalpha = delta[:n]
-    dbeta = np.zeros(n)
-    dbeta[: n - 1] = delta[n:]
-    # The smallest pair sums before and after the full step take O(n) (see
-    # ``_min_pair_sum``).
+    dalpha, dbeta = delta[:n], np.append(delta[n:], 0.0)
     target = 0.5 * _min_pair_sum(theta.alpha, theta.beta)[0]
-    if _min_pair_sum(theta.alpha + dalpha, theta.beta + dbeta)[0] >= target:
-        return 1.0
-    # Otherwise lambda is the smallest (target - s_ij) / ds_ij over the pairs
-    # the step shrinks.  Cuts are common (a third of the steps of geometric
-    # n=200 Monte-Carlo fits), so the pairs are taken in blocks of rows, in
-    # quarters of the scratch: the shrink rates max(-ds_ij, 0), the headroom
-    # s_ij - target > 0, and the in-effect terms dbeta_j and beta_j copied
-    # down the rows once.  The quotient of headroom and shrink rate is the
-    # same float as (target - s_ij) / ds_ij where the step shrinks the pair
-    # and +inf where it does not, so no mask is needed.  Every sum adds
-    # arrays of one shape: a broadcasting ufunc allocates buffers of its own.
-    if scratch is None or len(scratch) < 4:
-        scratch = np.empty((4 * max(1, _BLOCK_EDGES // (4 * n)), n))
-    rows = len(scratch) // 4
-    rates, rooms, step_cols, cols = (scratch[k * rows : (k + 1) * rows] for k in range(4))
-    np.copyto(step_cols, dbeta)
-    np.copyto(cols, theta.beta)
     lam = 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only on the diagonal
-        for lo in range(0, n, rows):
-            block = slice(lo, min(lo + rows, n))
-            height = block.stop - lo
-            rate, room = rates[:height], rooms[:height]
-            np.copyto(rate, dalpha[block, None])
-            np.add(rate, step_cols[:height], out=rate)
-            np.maximum(np.subtract(0.0, rate, out=rate), 0.0, out=rate)  # never -0.0
-            np.copyto(room, theta.alpha[block, None])
-            np.subtract(np.add(room, cols[:height], out=room), target, out=room)
-            np.divide(room, rate, out=room)
-            np.fill_diagonal(room[:, block], np.inf)  # the diagonal is no pair
-            lam = min(lam, float(room.min()))
-    return max(lam, 0.0)
+    while True:
+        smin, i, j = _min_pair_sum(theta.alpha + lam * dalpha, theta.beta + lam * dbeta)
+        rate = -(dalpha[i] + dbeta[j])
+        if smin >= target or not rate > 0.0:  # a pair the step keeps: rounding only
+            return lam
+        ratio = float((theta.alpha[i] + theta.beta[j] - target) / rate)
+        if not ratio < lam:  # lambda stopped falling
+            return lam
+        lam = ratio
 
 
 def _stagnant(residuals: list[float]) -> bool:
@@ -541,7 +516,7 @@ def newton_fit(
         raise InvalidParameterError("starting point must have beta[-1] == 0")
     tol_residual = cfg.tol_residual if cfg.tol_residual is not None else 1e-10 * (n - 1)
 
-    screen = existence_check(g, family, n)
+    screen = existence_check(g, family)
     if screen is not Feasibility.FEASIBLE:
         resid = float(np.abs(moment_residual(theta, g, family)).max())
         return FitResult(theta, False, Existence.NON_EXISTENT, 0, resid, ())
@@ -582,7 +557,7 @@ def newton_fit(
             break
         delta = sign * raw
         cap = min(1.0, _MAX_STEP / max(float(np.abs(delta).max()), 1e-300))
-        lam = cap * _damping(theta, cap * delta, family, work.means)
+        lam = cap * _damping(theta, cap * delta, family)
         # An exact step backtracks until the residual stops increasing; the
         # Newton direction always admits such a step, and the accepted trial
         # doubles as the next iteration's residual evaluation.  The relaxed

@@ -310,6 +310,13 @@ class TestDiagnoseCommand:
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert float(row[4]) > 0.0
 
+    @pytest.mark.parametrize("sweep", ["2", "20,2", "1"])
+    def test_sweep_below_three_is_a_usage_error(self, sweep, capsys):
+        assert main(["diagnose", "--family", "binary", "--n-sweep", sweep]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before any row is computed
+        assert captured.err.startswith("error: --n-sweep values must be at least 3")
+
 
 class TestUsage:
     def test_unknown_family(self, tmp_path, capsys):

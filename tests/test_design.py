@@ -24,6 +24,10 @@ helpers ``edge_mean`` and ``edge_variance``, and the finite inverse mean.  No
 code takes the margins of an n x n array outside the pass's
 ``_add_margins``: no ``_margins`` helper, no mat-vec with a ones vector and
 no axis sum, except ``bi_degrees``, which sums the observed weights.
+
+Row blocks belong to that pass alone: no module but ``model.py`` refers to
+the block sizes ``_BLOCK_EDGES`` and ``_CACHE_EDGES`` or to ``_block_rows``,
+so no other code walks the pairs in blocks of its own.
 """
 
 import ast
@@ -48,6 +52,7 @@ KERNEL_ALLOWED = {
     ("model.py", "_finite_inverse_mean"),
 }
 MARGIN_ALLOWED = {("model.py", "_add_margins"), ("model.py", "bi_degrees")}
+BLOCKING_NAMES = ("_BLOCK_EDGES", "_CACHE_EDGES", "_block_rows")
 
 
 def _is_kind(node) -> bool:
@@ -150,6 +155,19 @@ def _is_margin(node) -> bool:
     return False
 
 
+def _is_blocking(node) -> bool:
+    """A reference to the edge pass's row blocks: a name, an attribute, an
+    import, a definition or a string naming one of ``BLOCKING_NAMES``."""
+    name = {
+        ast.Name: "id",
+        ast.Attribute: "attr",
+        ast.alias: "name",
+        ast.FunctionDef: "name",
+        ast.Constant: "value",
+    }.get(type(node))
+    return name is not None and getattr(node, name) in BLOCKING_NAMES
+
+
 def kernel_calls(source: str) -> list[tuple[str, int]]:
     """``(enclosing function, line)`` of every call of a family's edge kernel."""
     return _scan(source, _is_kernel_call)
@@ -158,6 +176,11 @@ def kernel_calls(source: str) -> list[tuple[str, int]]:
 def margins(source: str) -> list[tuple[str, int]]:
     """``(enclosing function, line)`` of every row or column sum of an array."""
     return _scan(source, _is_margin)
+
+
+def blocking_refs(source: str) -> list[tuple[str, int]]:
+    """``(enclosing function, line)`` of every reference to the pass's row blocks."""
+    return _scan(source, _is_blocking)
 
 
 def kind_dispatches(source: str) -> list[tuple[str, int]]:
@@ -290,3 +313,29 @@ def test_margins_only_in_the_pass():
                 stray.append(f"{path.name}:{line} in {scope or 'module'}")
     assert not stray, "margins taken outside the edge pass: " + ", ".join(stray)
     assert ("model.py", "_add_margins") in seen
+
+
+def test_scanner_sees_row_block_references():
+    source = '''
+from .model import _BLOCK_EDGES, _block_rows as rows_of
+import bidegree.model
+def f(n, patch):
+    rows = max(1, bidegree.model._CACHE_EDGES // n)
+    patch.setattr(bidegree.model, "_BLOCK_EDGES", 7)
+    return _block_rows(n, True), "no _CACHE_EDGES in prose", _BLOCK_EDGES_X
+def _block_rows(n):
+    return n
+'''
+    assert [line for _, line in blocking_refs(source)] == [2, 2, 5, 6, 7, 8]
+
+
+def test_row_blocks_only_in_the_model():
+    stray, seen = [], set()
+    for path in SOURCES:
+        for scope, line in blocking_refs(path.read_text()):
+            seen.add(path.name)
+            if path.name != "model.py":
+                stray.append(f"{path.name}:{line} in {scope or 'module'}")
+    assert not stray, "row blocks referred to outside model.py: " + ", ".join(stray)
+    # the pass's own blocks are found, so the scan covers model.py
+    assert "model.py" in seen

@@ -22,7 +22,6 @@ from bidegree.model import (
     edge_variance,
     expected_degrees,
     log_likelihood,
-    log_partition_term,
     moment_residual,
     validate_params,
 )
@@ -295,21 +294,26 @@ class TestEdgeKernel:
         assert fisher.cross_min >= 0.0
 
 
+def log_partition(family, s):
+    """The family record's per-edge log-partition at one pair sum, in the stored frame."""
+    return float(_maths(family).log_partition(family, np.array([s]))[0])
+
+
 class TestLogPartition:
     def test_partition_slope_is_mean(self):
+        # the slope in s is +edge_mean in the stored frame of every family, so
+        # the gradient of log_likelihood is moment_residual
         h = 1e-6
         for fam in ALL_FAMILIES:
             s = 0.9
-            slope = (log_partition_term(fam, s + h) - log_partition_term(fam, s - h)) / (2 * h)
+            slope = (log_partition(fam, s + h) - log_partition(fam, s - h)) / (2 * h)
             assert slope == pytest.approx(edge_mean(fam, s), rel=1e-6)
 
     def test_finite_two_matches_binary_partition(self):
         # natural-frame partitions agree after the sign flip of stored values
         fam = WeightFamily.finite(2)
         for s in (-3.0, -0.5, 0.7, 2.5):
-            assert -log_partition_term(fam, s) == pytest.approx(
-                log_partition_term(BINARY, -s), abs=1e-12
-            )
+            assert -log_partition(fam, s) == pytest.approx(log_partition(BINARY, -s), abs=1e-12)
             assert edge_mean(fam, s) == pytest.approx(edge_mean(BINARY, -s), abs=1e-12)
             assert edge_variance(fam, s) == pytest.approx(edge_variance(BINARY, -s), abs=1e-12)
 

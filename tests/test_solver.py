@@ -699,38 +699,35 @@ def reference_damping(theta, delta, family):
 
 @st.composite
 def damping_cases(draw):
-    """Positive rate-family effects (a few repeated values, so minima tie)
-    and a step of any size, so both the full step and a cut one occur."""
+    """Positive rate-family effects (about half of them from three values, so
+    minima tie), in half the cases with the smallest alpha and the smallest
+    beta on one vertex, and a step of any size, so both the full step and a
+    cut one occur.  The effects and the step come from a drawn seed: drawing
+    each effect through hypothesis took 60 times as long as the test body."""
     n = draw(st.integers(2, 40))
-    effect = st.one_of(st.sampled_from([0.05, 0.5, 1.0]), st.floats(0.01, 3.0))
-    alpha = np.array(draw(st.lists(effect, min_size=n, max_size=n)))
-    beta = np.array(draw(st.lists(effect, min_size=n, max_size=n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tied = rng.choice([0.05, 0.5, 1.0], (2, n))
+    alpha, beta = np.where(rng.random((2, n)) < 0.5, tied, rng.uniform(0.01, 3.0, (2, n)))
+    if draw(st.booleans()):
+        shared = draw(st.integers(0, n - 1))
+        alpha[shared], beta[shared] = alpha.min(), beta.min()
     scale = draw(st.sampled_from([0.01, 0.3, 1.0, 5.0]))
-    seed = draw(st.integers(0, 2**32 - 1))
-    delta = scale * np.random.default_rng(seed).uniform(-1.0, 1.0, 2 * n - 1)
+    delta = scale * rng.uniform(-1.0, 1.0, 2 * n - 1)
     return ParamVector(alpha, beta, negated=True), delta
 
 
 class TestDamping:
-    @given(
-        damping_cases(),
-        st.sampled_from([EXPONENTIAL, GEOMETRIC]),
-        st.sampled_from([1, 7, 40, 16000]),
-        st.sampled_from([None, 3, 4, 9, 64]),
-    )
+    @given(damping_cases(), st.sampled_from([EXPONENTIAL, GEOMETRIC]))
     @settings(max_examples=400, deadline=None)
-    def test_matches_full_matrix_formula(self, case, family, block_edges, scratch_rows):
-        # The O(n) test of the full step agrees with the reference's up to
-        # rounding: the two ways of adding up (alpha_i + dalpha_i) +
-        # (beta_j + dbeta_j) can put a tied minimum on either side.  Small
-        # row blocks make the cut run over several blocks, the last one short;
-        # a given scratch sets the blocks to a quarter of its rows (three rows
-        # are too few, and the cut makes its own).
+    def test_matches_full_matrix_formula(self, case, family):
+        # Allowed: 1e-12 absolute.  A cut's ratios are the reference's floats,
+        # but the full-step test adds (alpha_i + dalpha_i) + (beta_j + dbeta_j)
+        # where the reference adds (alpha_i + beta_j) + (dalpha_i + dbeta_j),
+        # so a pair tied with the target can fall on either side of it, and
+        # near-tied ratios could end the iteration an ulp apart.  In 60,000
+        # seeded cases like these the two agreed bit for bit.
         theta, delta = case
-        scratch = None if scratch_rows is None else np.full((scratch_rows, theta.n), np.nan)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(bidegree.solver, "_BLOCK_EDGES", block_edges)
-            lam = bidegree.solver._damping(theta, delta, family, scratch)
+        lam = bidegree.solver._damping(theta, delta, family)
         assert lam == pytest.approx(reference_damping(theta, delta, family), rel=0, abs=1e-12)
         assert 0.0 <= lam <= 1.0
 
@@ -745,8 +742,8 @@ class TestDamping:
     @pytest.mark.parametrize("step, full", [(0.01, True), (2.0, False)])
     def test_allocates_less_than_one_pair_matrix(self, step, full):
         # The whole-matrix reference builds several n x n temporaries; the
-        # full-step test takes a few length-n vectors and the cut a few
-        # blocks of rows, 0.66 MB here.
+        # full-step test and every step of the cut take a few length-n
+        # vectors, so both stay within 16 of them (0.016 n x n arrays here).
         n = 1000
         rng = np.random.default_rng(8)
         alpha = rng.uniform(0.5, 2.0, n)
@@ -760,27 +757,7 @@ class TestDamping:
         finally:
             tracemalloc.stop()
         assert (lam == 1.0) == full and lam == reference_damping(theta, delta, GEOMETRIC)
-        assert peak < (16 * n * 8 if full else 0.2 * n * n * 8)
-
-    def test_cut_writes_into_the_scratch(self):
-        # A fit hands the cut its idle block of means, so one forced cut
-        # allocates only length-n vectors (0.009 n x n arrays); with
-        # temporaries of its own in every row block it took 0.52.
-        n = 400
-        rng = np.random.default_rng(8)
-        alpha = rng.uniform(0.5, 2.0, n)
-        beta = np.append(rng.uniform(0.5, 2.0, n - 1), 0.0)
-        theta = ParamVector(alpha, beta, negated=True)
-        delta = -2.0 * rng.uniform(0.0, 1.0, 2 * n - 1)
-        scratch = bidegree.model._Workspace(n, GEOMETRIC).means
-        tracemalloc.start()
-        try:
-            lam = bidegree.solver._damping(theta, delta, GEOMETRIC, scratch)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert lam < 1.0 and lam == reference_damping(theta, delta, GEOMETRIC)
-        assert peak < 0.05 * n * n * 8
+        assert peak < 16 * n * 8
 
     def test_sign_free_families_take_full_steps(self):
         theta = ParamVector(np.zeros(3), np.zeros(3))
@@ -876,12 +853,12 @@ class TestFitBuffers:
         # Peak traced allocation of one warm fit, in units of one n x n array:
         # the variances, one row block of means (0.41 units at 2**16 edges,
         # 0.1 at the finite kernel's 16000), O(n) vectors and the row-block
-        # temporaries of the finite kernel.  The damping cut works in the
-        # block of means.  They peak at 1.48 (binary), 1.46 (finite:4), 1.55
+        # temporaries of the finite kernel.  A damping cut takes only
+        # length-n vectors.  They peak at 1.48 (binary), 1.46 (finite:4), 1.55
         # (geometric) and 1.55 (exponential) units, from the class start and
         # from the closed form; the rate-family fits cut only from the latter.
-        # With their own temporaries, cuts took the rate families to 1.94 and
-        # 1.93.  With two n x n buffers, fits peaked at 2.06, 2.35, 2.52 and
+        # With row-block temporaries of their own, cuts took the rate families
+        # to 1.94 and 1.93.  With two n x n buffers, fits peaked at 2.06, 2.35, 2.52 and
         # 2.51; before the buffers, at 3.04, 5.15, 4.92 and 5.06, from a new
         # n x n array per pass and per damping test.
         n = 400
