@@ -9,11 +9,12 @@ n, below ``newton_fit``'s gate too, and its fit time includes the stage.
 Prints one CSV row per (family, n): mean Newton iterations and median fit
 time of each start, and how many fits gave different verdicts.  The gate
 ``solver._CLASS_GATE`` is set with a margin above the n from which the class
-start's fits are faster on every family.
+start's fits are faster on every family.  ``--classes K`` runs the class
+start with K classes per side in place of ``solver._CLASSES``.
 
 Example:
     python scripts/start_sweep.py --families binary finite:4 geometric exponential \
-        --n 200 300 400 --rule sqrtlog --graphs 20 --repeats 3
+        --n 200 300 400 --rule sqrtlog --graphs 20 --repeats 3 --classes 8
 """
 
 import argparse
@@ -25,6 +26,7 @@ import time
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
+import bidegree.solver
 from bidegree.model import WeightFamily, bi_degrees
 from bidegree.sampler import SimDesign, derive_seed, design_params, ramp_magnitude, sample_graph
 from bidegree.solver import Feasibility, _class_start, default_start, existence_check, newton_fit
@@ -50,7 +52,14 @@ def main() -> int:
     parser.add_argument("--graphs", type=int, default=10, help="graphs per (family, n)")
     parser.add_argument("--repeats", type=int, default=3, help="timed fits per graph and start")
     parser.add_argument("--seed", type=int, default=77)
+    parser.add_argument(
+        "--classes", type=int, default=bidegree.solver._CLASSES,
+        help="degree classes per side of the class start",
+    )
     args = parser.parse_args()
+    if args.classes < 1:
+        parser.error("--classes must be at least 1")
+    bidegree.solver._CLASSES = args.classes
 
     starts = {"closed_form": closed_form_fit, "class": class_fit}
     print("family,n,L_rule,graphs,closed_form_iterations,class_iterations,"

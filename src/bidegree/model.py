@@ -28,12 +28,15 @@ blocks.  While a block is in cache the pass adds its means into row and
 column sums (the expected degrees) and, when it computes the variances, their
 row and column sums (the Fisher diagonal) and their smallest off-diagonal
 entry; nothing reads the block again.  The means live in a one-block scratch
-buffer; the variances are kept whole where the step solve reads them.  In a
-fit, each Newton trial makes one such pass: :func:`moment_residual` given the
-fit's workspace (``work``) leaves the variances and their margins there, and
-the Fisher matrix of the accepted trial is built from them in O(n).  The
-workspace holds the fit's one n x n buffer, one block and the margin vectors,
-so the fitting loop allocates no n x n array.
+buffer.  In a fit, each Newton trial makes one such pass:
+:func:`moment_residual` given the fit's workspace (``work``) leaves the
+variances' margins there, and the Fisher matrix of the accepted trial is
+built from them.  Below ``solver._CLASS_GATE`` the workspace keeps the
+variances whole too, for the step solve, in the fit's one n x n buffer.
+From the gate on it keeps them as a block of scratch as well, and the
+Fisher build writes its low-rank cross block into the two blocks, so such a
+fit keeps no n x n array.  Either way the fitting loop allocates no n x n
+array of its own.
 
 Every public function here is a pure function of immutable values; nothing
 mutates after construction, so all objects are safe to share across threads.
@@ -459,6 +462,10 @@ class _FamilyMaths:
     inverse_mean: Callable  # (family, m) -> the pair sum whose edge mean is m
     sample: Callable  # (theta, family, gen) -> n x n weights, diagonal unspecified
     lipschitz: Callable  # (family, n - 1, lo, hi) -> (K1, K2) for pair sums in [lo, hi]
+    # (family) -> how far above the real axis the variance's nearest pole
+    # lies, over the pair sum s or, for the rate families, over log(s - c)
+    # for any shift c >= 0, where their pole at s = 0 moves off to -inf
+    pole_height: Callable
     max_weight: Callable = lambda family: math.inf  # (family) -> the largest support point
     negated: bool = True  # parameters stored sign-flipped
     positive_pair_sums: bool = False
@@ -481,6 +488,7 @@ _FAMILIES = {
         lipschitz=lambda family, nm1, lo, hi: (float(nm1), nm1 / 2.0),
         max_weight=lambda family: 1.0,
         negated=False,
+        pole_height=lambda family: math.pi,  # exp(s) = -1
         pair_moments=_binary_pair_moments,
     ),
     "exponential": _FamilyMaths(
@@ -489,6 +497,7 @@ _FAMILIES = {
         inverse_mean=lambda family, m: 1.0 / m,
         sample=_exponential_sample,
         lipschitz=lambda family, nm1, lo, hi: (2.0 * nm1 / lo**3, nm1 / lo**3),
+        pole_height=lambda family: math.pi,  # s = 0: arg(s - c) = pi
         positive_pair_sums=True,
         integer_weights=False,
         in_place=True,
@@ -503,6 +512,7 @@ _FAMILIES = {
         positive_pair_sums=True,
         in_place=True,
         ramp_offset=0.2,
+        pole_height=lambda family: 0.5 * math.pi,  # s = 2 pi i k: arg(s - c) >= pi/2
     ),
     "finite": _FamilyMaths(
         moments=_finite_moments,
@@ -511,6 +521,8 @@ _FAMILIES = {
         sample=_finite_sample,
         lipschitz=_finite_lipschitz,
         max_weight=lambda family: float(family.support_size - 1),
+        # exp(-qs) = 1 but exp(-s) != 1, where the normalizer vanishes
+        pole_height=lambda family: 2.0 * math.pi / family.support_size,
     ),
 }
 
@@ -607,27 +619,42 @@ class _Workspace:
     ``means`` and ``variance`` say how much of each n x n array a pass keeps:
     ``"whole"`` (n rows) or ``"block"`` (one row block of scratch, which the
     next block overwrites); ``variance=None`` skips the variances.  The
-    margin vectors receive the pass's sums.
+    margin vectors receive the pass's sums.  ``pairs`` is where a kernel
+    without a whole-graph form gets the in-effects, tiled over a block: the
+    variances' rows, which the kernel overwrites, or a block of its own
+    (empty for binary, whose whole-graph kernel needs none).
 
-    ``newton_fit`` makes one per fit, with whole variances (the step solve
-    reads them) and a block of means, and hands it to :func:`moment_residual`
+    ``newton_fit`` makes one per fit and hands it to :func:`moment_residual`
     and :func:`bidegree.fisher.fisher_info` as ``work``; the accepted trial's
-    pass is then the next Fisher matrix, built in O(n).  Nothing a public
-    function returns points into a fit's workspace.
+    pass is then the next Fisher matrix.  Below ``solver._CLASS_GATE`` it
+    keeps the variances whole, which the step solve reads.  From the gate on
+    it keeps them as a block too, and ``nodes`` is the most Chebyshev nodes
+    of the low-rank Fisher operator that ``fisher_info`` builds in the two
+    blocks between passes, so each block holds at least ``nodes + 1`` rows.
+    Nothing a public function returns points into a fit's workspace.
     """
 
-    __slots__ = ("means", "variance", "vectors", "ones", "theta", "last")
+    __slots__ = ("means", "variance", "pairs", "vectors", "ones", "theta", "last")
 
     def __init__(
-        self, n: int, family: WeightFamily, means: str = "block", variance: str | None = "whole"
+        self,
+        n: int,
+        family: WeightFamily,
+        means: str = "block",
+        variance: str | None = "whole",
+        nodes: int = 0,
     ) -> None:
         maths = _maths(family)
         rows = _block_rows(n, maths.in_place or maths.pair_moments is not None)
+        if nodes:
+            rows = max(rows, nodes + 1)
         heights = {"whole": n, "block": rows, None: 0}
         m, v = heights[means], heights[variance]
-        flat = np.empty((m + v) * n)  # one allocation, which the next fit can reuse whole
+        t = 0 if variance or maths.pair_moments else rows
+        flat = np.empty((m + v + t) * n)  # one allocation, which the next fit can reuse whole
         self.means = flat[: m * n].reshape(m, n)
-        self.variance = flat[m * n :].reshape(v, n) if variance else None
+        self.variance = flat[m * n : (m + v) * n].reshape(v, n) if variance else None
+        self.pairs = self.variance if variance else flat[m * n :].reshape(t, n)
         self.vectors = np.empty((5, n))  # four margins and a spare
         self.ones = np.ones(n)
         self.theta: ParamVector | None = None
@@ -676,7 +703,9 @@ def _pair_moments(theta: ParamVector, family: WeightFamily, work: _Workspace) ->
     maths = _maths(family)
     kernel = maths.pair_moments(theta) if maths.pair_moments else None
     rows = _block_rows(n, maths.in_place or kernel is not None)
-    means, variance, ones = work.means, work.variance, work.ones
+    means, variance, ones, pairs = work.means, work.variance, work.ones, work.pairs
+    if kernel is None and not len(pairs):  # binary beyond _EXP_SAFE, without variances
+        pairs = np.empty((rows, n))
     mean_rows, mean_cols, var_rows, var_cols, spare = work.vectors
     cross_min = math.inf
     for lo in range(0, n, rows):
@@ -684,7 +713,12 @@ def _pair_moments(theta: ParamVector, family: WeightFamily, work: _Workspace) ->
         mean = _block_of(means, block, n)
         var = None if variance is None else _block_of(variance, block, n)
         if kernel is None:
-            s = np.add(theta.alpha[block, None], theta.beta, out=mean)
+            # two broadcasting copies and a same-shape add: a broadcasting add
+            # would allocate the ufunc's buffers on every block
+            tile = _block_of(pairs, block, n)
+            np.copyto(mean, theta.alpha[block, None])
+            np.copyto(tile, theta.beta)
+            s = np.add(mean, tile, out=mean)
             np.fill_diagonal(s[:, block], 1.0)  # placeholder in every family's domain
             maths.moments(family, s, var)
         else:

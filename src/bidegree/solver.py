@@ -9,12 +9,17 @@ takes cheap approximate-inverse steps until they stall or meet the
 tolerance, then exact ones.  Only an exact step ends a fit on a tolerance.
 
 Each trial step costs one pass over the edges: the residual pass also
-leaves the edge variances, their margins and their minimum in the fit's
-workspace (one n x n buffer of variances, one row block of means and a few
-vectors, allocated once per fit), and the accepted trial's pass is the next
-step's Fisher matrix.  Step damping for the positive-rate families reads no
-n x n array: it finds the smallest pair sum in O(n), once for the full step
-and once per step of Dinkelbach's iteration when it has to cut it.
+leaves the edge variances' margins and their minimum in the fit's workspace,
+and the accepted trial's pass is the next step's Fisher matrix.  Below
+``_CLASS_GATE`` the workspace (one n x n buffer of variances, one row block
+of means and a few vectors, allocated once per fit) keeps the variances
+whole.  From the gate on it keeps them as a row block too, and the Fisher
+matrix's cross block is the low-rank operator of :mod:`bidegree.fisher`,
+built in the workspace's two blocks, so such a fit keeps no n x n array; a
+step whose operator would need more than ``fisher._MAX_NODES`` nodes reads
+a whole matrix made for it.  Step damping for the positive-rate families
+reads no n x n array: it finds the smallest pair sum in O(n), once for the
+full step and once per step of Dinkelbach's iteration when it has to cut it.
 
 A default fit (no ``theta0``) of n >= ``_CLASS_GATE`` vertices that passes
 the existence screen starts from its degree-class model rather than the
@@ -54,6 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fisher import (
+    _MAX_NODES,
     SingularFisherError,
     StructuredFisher,
     apply_approx_inverse,
@@ -179,10 +185,16 @@ _DIVERGENCE_BOUND = 30.0
 # The class stage of a default fit: degree classes per side, the smallest n
 # it runs at, its Newton budget and relative residual tolerance, and the
 # budget and step tolerance of the outlying vertices' 1-D solves.  Six
-# classes bring the design fits into Newton's quadratic range; eight or more
-# save one iteration more.  The gate keeps a margin above the n at which
-# binary fits, whose iterations are cheapest, break even: between 300 and 350
-# in ``scripts/start_sweep.py``, where the other families gain from 300 on.
+# classes bring the design fits into Newton's quadratic range; eight save one
+# iteration more on binary and exponential n=1000 loglog designs (3 instead
+# of 4), and twelve on sqrtlog designs too (``scripts/start_sweep.py
+# --classes``).  Eight would make binary n=1000 fits twice as fast as before
+# the low-rank cross block, and ``perfbench``'s loop, which keeps every fit it
+# makes, then peaks 10% higher in memory, so the count stays at six.  The
+# gate keeps a margin above the n at which binary fits, whose iterations are
+# cheapest, break even: between 300 and 350 in ``scripts/start_sweep.py``,
+# where the other families gain from 300 on.  From the gate on, fits also
+# take the low-rank Fisher cross block and keep no n x n array.
 # The class model only approximates the vertex model, so its own solve need
 # not be tight: design fits took the same iterations with tolerances from
 # 1e-7 to 1e-3.
@@ -407,6 +419,24 @@ def _prolong(
     return out
 
 
+def _lift_pairs(alpha: np.ndarray, beta: np.ndarray, target: float) -> None:
+    """Raise, in place, both effects of each pair ``i != j`` whose sum is not
+    positive by half its shortfall, so that the pair sums ``target``.
+
+    An outlying out-vertex and an outlying in-vertex are each solved against
+    the other side's class effects, so their own pair sum can come out at or
+    below 0.  A lift only raises pair sums, and each one makes its pair
+    positive, so the pairs run out; the ``n`` lifts allowed are a guard.
+    """
+    for _ in range(alpha.size):
+        smin, i, j = _min_pair_sum(alpha, beta)
+        if smin > 0.0:
+            return
+        lift = 0.5 * (target - smin)
+        alpha[i] += lift
+        beta[j] += lift
+
+
 def _class_start(g: BiDegree, family: WeightFamily, fallback: ParamVector) -> ParamVector:
     """A start near the MLE from the model whose effects are constant on
     ``_CLASSES`` quantile classes of out-degree and as many of in-degree.
@@ -417,9 +447,12 @@ def _class_start(g: BiDegree, family: WeightFamily, fallback: ParamVector) -> Pa
     The class model's sufficient statistics are the class degree sums, a
     linear image of (d, b), so its MLE exists whenever the graph's does.  It
     is solved from the class means of ``fallback`` by ``_solve_classes``,
-    then prolonged to the vertices (``_prolong``) and normalized to
-    ``beta[-1] = 0``.  Any failure (the budget, a singular class Fisher
-    matrix, a value out of the family's domain) returns ``fallback`` itself.
+    then prolonged to the vertices (``_prolong``), for the rate families
+    with each pair whose sum is not positive lifted to the damping target,
+    half the class model's smallest pair sum (``_lift_pairs``), and
+    normalized to ``beta[-1] = 0``.  Any failure (the budget, a singular
+    class Fisher matrix, a value out of the family's domain) returns
+    ``fallback`` itself.
     """
     if g.n < 2 * _CLASSES:
         return fallback
@@ -440,6 +473,8 @@ def _class_start(g: BiDegree, family: WeightFamily, fallback: ParamVector) -> Pa
         a, b = solution
         alpha = _prolong(family, g.d, out_sums, out_sizes, a, b, in_sizes, in_label)
         beta = _prolong(family, g.b, in_sums, in_sizes, b, a, out_sizes, out_label)
+        if family.positive_pair_sums:
+            _lift_pairs(alpha, beta, 0.5 * float((a[:, None] + b).min()))
         shift = beta[-1]
         alpha += shift
         beta -= shift
@@ -503,13 +538,17 @@ def newton_fit(
     """
     cfg = config or FitConfig()
     n = g.n
-    # Every pass of this fit writes into the workspace's buffer of variances
-    # and its block of means, and each residual pass leaves the variances and
-    # their margins there for the next Fisher build.  It is allocated before
-    # anything else so that the C allocator hands it the space the previous
-    # fit's buffers freed, before small arrays that outlive the fit split that
-    # space up.
-    work = _Workspace(n, family)
+    # Every pass of this fit writes into the workspace's buffers, and each
+    # residual pass leaves the variances' margins there for the next Fisher
+    # build, and below the gate the variances themselves; from the gate on
+    # the Fisher build makes its low-rank cross block in the same buffers.
+    # It is allocated before anything else so that the C allocator hands it
+    # the space the previous fit's buffers freed, before small arrays that
+    # outlive the fit split that space up.
+    if n < _CLASS_GATE:
+        work = _Workspace(n, family)
+    else:
+        work = _Workspace(n, family, variance="block", nodes=_MAX_NODES)
     theta = default_start(g, family) if theta0 is None else theta0
     validate_params(theta, family)
     if not theta.is_normalized:

@@ -20,7 +20,9 @@ A Newton trial reads the edges once: ``model._pair_moments`` is the one pass,
 and it sums the margins of each row block while the block is in cache.  So a
 family kernel (a ``.moments(`` or ``.pair_moments(`` call, or a call of a
 ``_<family>_moments`` function) runs only inside that pass, the per-edge
-helpers ``edge_mean`` and ``edge_variance``, and the finite inverse mean.  No
+helpers ``edge_mean`` and ``edge_variance``, the finite inverse mean, and
+``fisher._low_rank_cross``, which evaluates the variances at its
+interpolation nodes once per Newton step, not per trial.  No
 code takes the margins of an n x n array outside the pass's
 ``_add_margins``: no ``_margins`` helper, no mat-vec with a ones vector and
 no axis sum, except ``bi_degrees``, which sums the observed weights.
@@ -50,6 +52,7 @@ KERNEL_ALLOWED = {
     ("model.py", "edge_mean"),
     ("model.py", "edge_variance"),
     ("model.py", "_finite_inverse_mean"),
+    ("fisher.py", "_low_rank_cross"),
 }
 MARGIN_ALLOWED = {("model.py", "_add_margins"), ("model.py", "bi_degrees")}
 BLOCKING_NAMES = ("_BLOCK_EDGES", "_CACHE_EDGES", "_block_rows")

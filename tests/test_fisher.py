@@ -21,7 +21,15 @@ from bidegree.fisher import (
     materialize_approx,
     solve_structured,
 )
-from bidegree.model import ParamVector, WeightFamily, bi_degrees, moment_residual
+from bidegree.fisher import _INTERP_DIGITS, _MAX_NODES, _low_rank_cross, _LowRankCross
+from bidegree.model import (
+    ParamVector,
+    WeightFamily,
+    _maths,
+    _Workspace,
+    bi_degrees,
+    moment_residual,
+)
 from bidegree.sampler import SimDesign, design_params, ramp_magnitude, sample_graph
 from bidegree.solver import default_start
 
@@ -437,6 +445,120 @@ class TestSolveCost:
         finally:
             tracemalloc.stop()
         assert peak < 0.05 * n * n * 8
+
+
+def cap_half_width(family):
+    """Half-width of the interpolation variable's range (alpha, or log(alpha
+    + min beta) for the rate families) at which the low-rank cross block
+    takes ``_MAX_NODES`` nodes: where the Bernstein ellipse parameter
+    ``r + sqrt(1 + r^2)`` of ``r = pole height / half-width`` reaches
+    ``10**(_INTERP_DIGITS / _MAX_NODES)``."""
+    rho = 10.0 ** (_INTERP_DIGITS / _MAX_NODES)
+    return _maths(family).pole_height(family) * 2.0 * rho / (rho * rho - 1.0)
+
+
+REACH = {"flat": 0.0, "cap": 1.0 - 1e-6, "beyond": 1.0 + 1e-6}
+
+
+@st.composite
+def low_rank_cases(draw):
+    """Effects whose interpolation variable spans a drawn share of the range
+    at the cap, exactly the cap, just beyond it, or nothing; for the rate
+    families the smallest pair sum (the diagonal included) is drawn down
+    to 1e-3, near their pole at 0."""
+    family = draw(st.sampled_from([BINARY, EXPONENTIAL, GEOMETRIC, FINITE4]))
+    n = draw(st.integers(12, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    reach = draw(st.sampled_from(["inside", "inside", "cap", "beyond", "flat"]))
+    half = cap_half_width(family) * REACH.get(reach, rng.uniform(0.0, 1.0))
+    y = rng.uniform(-half, half, n)
+    y[:2] = -half, half
+    beta = rng.uniform(-3.0, 3.0, n)
+    if family.positive_pair_sums:
+        # min beta near 0, so that the smallest pair sums are not the
+        # difference of large effects, whose rounding would show
+        beta += rng.uniform(-0.2, 0.2) - beta.min()
+        gap = 10.0 ** draw(st.floats(-3.0, 0.0))  # min alpha + min beta
+        alpha = gap * np.exp(y + half) - beta.min()
+    else:
+        alpha = y + rng.uniform(-2.0, 2.0)
+    return family, ParamVector(rng.permutation(alpha), beta, negated=family.negated), reach
+
+
+def assert_same_products(cross, dense, seed):
+    """Both mat-vecs of ``cross`` against the dense block, within 1e-12 of
+    the products' scale ``|dense| |x|``."""
+    rng = np.random.default_rng(seed)
+    x, p = rng.normal(size=(2, dense.shape[0]))
+    for got, want, scale in (
+        (cross @ x, dense @ x, np.abs(dense) @ np.abs(x)),
+        (p @ cross, p @ dense, np.abs(p) @ np.abs(dense)),
+    ):
+        assert np.abs(got - want).max() <= 1e-12 * scale.max()
+
+
+class TestLowRankCross:
+    """From the gate on, a fit's cross block is the low-rank operator: its
+    mat-vecs agree with the variances' to 1e-12 relative, and past
+    ``_MAX_NODES`` nodes the fit reads the whole matrix instead."""
+
+    @given(low_rank_cases(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_products_match_the_dense_block(self, case, seed):
+        family, theta, reach = case
+        cross = _low_rank_cross(theta, family)
+        if reach == "beyond":
+            assert cross is None
+            return
+        assert cross.shape == (theta.n, theta.n)
+        nodes = len(cross.K)
+        assert nodes == {"cap": _MAX_NODES, "flat": 1}.get(reach, nodes) <= _MAX_NODES
+        assert_same_products(cross, fisher_info(theta, family).cross, seed)
+
+    @pytest.mark.parametrize("family", [BINARY, FINITE4], ids=lambda f: f.label)
+    def test_effects_on_the_nodes(self, family):
+        # alpha spans [-1, 1], so the nodes are the cosines themselves and
+        # every other vertex sits exactly on one
+        span = ParamVector([-1.0, 1.0], [0.0, 0.0], negated=family.negated)
+        m = len(_low_rank_cross(span, family).K)
+        nodes = np.cos((np.arange(m) + 0.5) * (math.pi / m))
+        alpha = np.concatenate([[-1.0, 1.0], nodes, np.linspace(-0.9, 0.9, 7)])
+        beta = np.random.default_rng(3).uniform(-2.0, 2.0, alpha.size)
+        theta = ParamVector(alpha, beta, negated=family.negated)
+        cross = _low_rank_cross(theta, family)
+        assert len(cross.K) == m
+        assert np.array_equal(cross.P[2 : 2 + m], np.eye(m))
+        assert_same_products(cross, fisher_info(theta, family).cross, 4)
+
+    @pytest.mark.parametrize("reach", ["cap", "beyond"])
+    @pytest.mark.parametrize(
+        "family", [BINARY, EXPONENTIAL, GEOMETRIC, FINITE4], ids=lambda f: f.label
+    )
+    def test_fit_workspace_reads_the_whole_matrix_beyond_the_cap(self, family, reach):
+        n = 40
+        rng = np.random.default_rng(8)
+        half = cap_half_width(family) * REACH[reach]
+        y = np.linspace(-half, half, n)
+        beta = np.append(rng.uniform(0.1, 1.0, n - 1), 0.0)
+        alpha = 0.1 * np.exp(y + half) if family.positive_pair_sums else y
+        theta = ParamVector(rng.permutation(alpha), beta, negated=family.negated)
+        g = bi_degrees(sample_graph(theta, family, 8))
+        work = _Workspace(n, family, variance="block", nodes=_MAX_NODES)
+        residual = moment_residual(theta, g, family, work=work)
+        fisher = fisher_info(theta, family, work=work)
+        dense = fisher_info(theta, family)
+        assert np.array_equal(fisher.row_sums, dense.row_sums)
+        assert np.array_equal(fisher.col_sums, dense.col_sums)
+        assert fisher.cross_min == dense.cross_min
+        if reach == "beyond":
+            assert isinstance(fisher.cross, np.ndarray)
+            assert np.array_equal(fisher.cross, dense.cross)
+        else:
+            assert isinstance(fisher.cross, _LowRankCross) and len(fisher.cross.K) == _MAX_NODES
+            assert_same_products(fisher.cross, dense.cross, 9)
+        step = solve_structured(fisher, residual)
+        exact = solve_structured(dense, residual)
+        assert np.abs(step - exact).max() <= 1e-10 * np.abs(exact).max()
 
 
 class TestApproxError:

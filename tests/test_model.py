@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -607,6 +608,34 @@ class TestEdgePass:
     @settings(max_examples=200, deadline=None)
     def test_matches_whole_matrix_reference(self, family, n, rows, seed, scale, variance):
         check_pass(family, pass_params(family, n, seed, scale), rows, variance)
+
+    @pytest.mark.parametrize("variance", ["whole", "block", None])
+    @pytest.mark.parametrize("family", [EXPONENTIAL, GEOMETRIC], ids=lambda f: f.label)
+    def test_rate_family_pass_allocates_nothing(self, family, variance):
+        # The pair sums are two broadcasting copies and a same-shape add into
+        # the workspace.  A broadcasting add allocated 129 kB of the ufunc's
+        # buffers for every block; a pass now traces about 6 kB in all.
+        n = 400
+        theta = pass_params(family, n, 3, 2.0)
+        work = _Workspace(n, family, variance=variance)
+        _pair_moments(theta, family, work)
+        tracemalloc.start()
+        try:
+            _pair_moments(theta, family, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
+
+    @pytest.mark.parametrize("family", PASS_FAMILIES[1:], ids=lambda f: f.label)
+    def test_pair_sums_are_the_broadcast_sums(self, family):
+        # the same floats as alpha[:, None] + beta, mean by mean
+        theta = pass_params(family, 300, 4, 2.0)
+        s = theta.alpha[:, None] + theta.beta
+        np.fill_diagonal(s, 1.0)
+        want = _maths(family).moments(family, s)[0]
+        np.fill_diagonal(want, 0.0)
+        assert np.array_equal(_edge_means(theta, family), want)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.label)
     def test_fisher_and_degrees_come_from_the_pass(self, family):

@@ -36,7 +36,8 @@ def run_script(name, *args):
         ),
         (
             "start_sweep.py",
-            ["--families", "binary", "geometric", "--n", "20", "--graphs", "2", "--repeats", "1"],
+            ["--families", "binary", "geometric", "--n", "20", "--graphs", "2", "--repeats", "1",
+             "--classes", "4"],
             "family,n,L_rule,graphs,closed_form_iterations,class_iterations,"
             "closed_form_ms,class_ms,verdicts_differ",
         ),

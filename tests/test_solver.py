@@ -529,9 +529,31 @@ class TestClassStart:
 
         monkeypatch.setattr(bidegree.solver, "solve_structured", singular)
         assert bidegree.solver._class_start(g, GEOMETRIC, fallback) is fallback
-        small = BiDegree(np.full(11, 3.0), np.full(11, 3.0))  # too few vertices for the classes
+        few = 2 * bidegree.solver._CLASSES - 1  # too few vertices for the classes
+        small = BiDegree(np.full(few, 3.0), np.full(few, 3.0))
         small_fallback = default_start(small, GEOMETRIC)
         assert bidegree.solver._class_start(small, GEOMETRIC, small_fallback) is small_fallback
+
+    def test_outlying_pair_is_lifted_to_the_damping_target(self, monkeypatch):
+        # Vertex 28's out-degree 36 and vertex 29's in-degree 41 lie beyond
+        # their classes' mean degrees (the median degree is 7), so each is
+        # solved against the other side's class effects, and their own pair
+        # sum comes out below 0.  Lifting that pair keeps the class start.
+        d = [3, 1, 6, 4, 3, 4, 8, 11, 2, 4, 3, 5, 8, 4, 13, 8, 8, 5, 13, 12, 9, 7, 10, 5, 16, 8,
+             16, 36, 7]
+        b = [3, 3, 5, 9, 4, 7, 3, 5, 4, 2, 4, 10, 5, 3, 7, 10, 8, 12, 10, 4, 15, 8, 15, 8, 9,
+             4, 12, 9, 41]
+        g = BiDegree(d, b)
+        fallback = default_start(g, GEOMETRIC)
+        start = bidegree.solver._class_start(g, GEOMETRIC, fallback)
+        assert start is not fallback
+        fit = newton_fit(g, GEOMETRIC, theta0=start)
+        closed = newton_fit(g, GEOMETRIC, theta0=fallback)
+        assert fit.existence is closed.existence is Existence.EXISTS
+        assert np.abs(fit.theta_hat.free - closed.theta_hat.free).max() <= 1e-8
+        assert fit.iterations < closed.iterations
+        monkeypatch.setattr(bidegree.solver, "_lift_pairs", lambda alpha, beta, target: None)
+        assert bidegree.solver._class_start(g, GEOMETRIC, fallback) is fallback
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.label)
     def test_default_fit_matches_the_closed_form_start(self, family):
@@ -764,6 +786,22 @@ class TestDamping:
         assert bidegree.solver._damping(theta, np.full(5, -50.0), BINARY) == 1.0
 
 
+def warm_fit_peak(family, n):
+    """Peak traced allocation of a converged default fit of a loglog design
+    graph, run once before to warm up, in units of one n x n array."""
+    design = design_params(SimDesign(family, n, ramp_magnitude("loglog", n)))
+    g = bi_degrees(sample_graph(design, family, 5))
+    newton_fit(g, family)
+    tracemalloc.start()
+    try:
+        result = newton_fit(g, family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.converged
+    return peak / (n * n * 8)
+
+
 class TestFitBuffers:
     """A fit's edge passes write into one n x n buffer of variances and one
     row block of means, which it allocates once; nothing that leaves a public
@@ -774,8 +812,8 @@ class TestFitBuffers:
         made = []
 
         class Recording(bidegree.model._Workspace):
-            def __init__(self, n, family):
-                super().__init__(n, family)
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
                 made.append(self)
 
         monkeypatch.setattr(bidegree.solver, "_Workspace", Recording)
@@ -846,31 +884,33 @@ class TestFitBuffers:
 
     @pytest.mark.parametrize(
         "family, bound",
-        [(BINARY, 1.6), (FINITE4, 1.6), (GEOMETRIC, 1.7), (EXPONENTIAL, 1.7)],
+        [(BINARY, 1.6), (FINITE4, 1.6), (GEOMETRIC, 1.6), (EXPONENTIAL, 1.6)],
         ids=["binary", "finite:4", "geometric", "exponential"],
     )
     def test_fit_allocates_one_buffer(self, family, bound):
-        # Peak traced allocation of one warm fit, in units of one n x n array:
-        # the variances, one row block of means (0.41 units at 2**16 edges,
-        # 0.1 at the finite kernel's 16000), O(n) vectors and the row-block
-        # temporaries of the finite kernel.  A damping cut takes only
-        # length-n vectors.  They peak at 1.48 (binary), 1.46 (finite:4), 1.55
-        # (geometric) and 1.55 (exponential) units, from the class start and
-        # from the closed form; the rate-family fits cut only from the latter.
-        # With row-block temporaries of their own, cuts took the rate families
-        # to 1.94 and 1.93.  With two n x n buffers, fits peaked at 2.06, 2.35, 2.52 and
-        # 2.51; before the buffers, at 3.04, 5.15, 4.92 and 5.06, from a new
-        # n x n array per pass and per damping test.
-        n = 400
-        design = design_params(SimDesign(family, n, ramp_magnitude("loglog", n)))
-        g = bi_degrees(sample_graph(design, family, 5))
-        for theta0 in (None, default_start(g, family)):
-            newton_fit(g, family, theta0)
-            tracemalloc.start()
-            try:
-                result = newton_fit(g, family, theta0)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert result.converged
-            assert peak / (n * n * 8) <= bound
+        # Peak traced allocation of one warm fit below the gate, in units of
+        # one n x n array: the variances, one row block of means (0.41 units
+        # at 2**16 edges, 0.1 at the finite kernel's 16000), O(n) vectors and
+        # the row-block temporaries of the finite kernel.  A damping cut
+        # takes only length-n vectors.  They peak at 1.48 (binary), 1.46
+        # (finite:4), 1.48 (geometric) and 1.48 (exponential) units.  When
+        # the pass built the rate families' pair sums with a broadcasting add,
+        # whose ufunc buffers took 129 kB, they peaked at 1.55; with
+        # row-block temporaries of the damping cut, at 1.94 and 1.93.  With
+        # two n x n buffers, fits peaked at 2.06, 2.35, 2.52 and 2.51; before
+        # the buffers, at 3.04, 5.15, 4.92 and 5.06, from a new n x n array
+        # per pass and per damping test.
+        assert warm_fit_peak(family, bidegree.solver._CLASS_GATE - 1) <= bound
+
+    @pytest.mark.parametrize("n, bound", [(400, 1.1), (1000, 0.35)])
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.label)
+    def test_fits_from_the_gate_keep_no_pair_matrix(self, workspaces, family, n, bound):
+        # From the gate on, a fit keeps the variances as a row block too, and
+        # each step's Fisher matrix is the low-rank operator built in the two
+        # blocks.  Default fits peak at 0.96 (binary), 0.68 (finite:4), 0.96
+        # (geometric) and 0.95 (exponential) units at n=400, where each block
+        # is 0.41 units (0.16 for finite:4), and at 0.17, 0.25, 0.16 and 0.16
+        # at n=1000.  A whole n x n buffer beside the two blocks would take
+        # them above 1.3 units at n=400 and 1.1 at n=1000.
+        assert warm_fit_peak(family, n) <= bound
+        assert workspaces[-1].variance.shape[0] < n
