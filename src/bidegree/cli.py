@@ -102,10 +102,9 @@ def read_edge_list(lines, family: WeightFamily, n: int | None = None) -> Graph:
 
 def write_edge_list(graph: Graph, stream) -> None:
     """Emit nonzero edges as ``src,dst,weight`` with 17 significant digits."""
-    stream.write("src,dst,weight\n")
     rows, cols = np.nonzero(graph.weights)
-    for i, j in zip(rows, cols):
-        stream.write(f"{i + 1},{j + 1},{graph.weights[i, j]:.17g}\n")
+    edges = zip((rows + 1).tolist(), (cols + 1).tolist(), graph.weights[rows, cols].tolist())
+    stream.write("src,dst,weight\n" + "".join(f"{i},{j},{w:.17g}\n" for i, j, w in edges))
 
 
 def read_dense(lines, family: WeightFamily, n: int | None = None) -> Graph:

@@ -21,8 +21,9 @@ on it keeps them only as a row block, and the cross block is a
 :class:`_LowRankCross`: the variances interpolated at m Chebyshev nodes
 (Berrut & Trefethen 2004), as in the black-box fast multipole method (Fong &
 Darve 2009), a rank-m product less its diagonal, built in O(n m) in the
-workspace's blocks.  A fit then holds no n x n array, unless a step needs
-more than ``_MAX_NODES`` nodes.  The largest variance is scanned only when
+workspace's blocks on a step's first product (approximate steps read only
+the margins).  A fit then holds no n x n array, unless a step needs more
+than ``_MAX_NODES`` nodes.  The largest variance is scanned only when
 :attr:`StructuredFisher.cross_max` is read, which needs the dense block.
 
 The exact solve :func:`solve_structured` eliminates the in-effects, whose
@@ -39,6 +40,7 @@ dense matrix.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -261,6 +263,32 @@ def _low_rank_cross(
     return _LowRankCross(P, out[:m], out[m])
 
 
+class _DeferredCross:
+    """A fit step's cross block, built on its first product: a
+    :class:`_LowRankCross` in the workspace's blocks or, beyond
+    ``_MAX_NODES`` nodes, new variances from a pass made here."""
+
+    __array_ufunc__ = None
+
+    def __init__(self, theta: ParamVector, family: WeightFamily, work: _Workspace) -> None:
+        self.shape = (theta.n, theta.n)
+        self.args = (theta, family, work)
+
+    @functools.cached_property
+    def block(self):
+        theta, family, work = self.args
+        cross = _low_rank_cross(theta, family, work)
+        if cross is None:
+            cross = _pair_moments(theta, family, _Workspace(theta.n, family)).variance
+        return cross
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.block @ x
+
+    def __rmatmul__(self, p: np.ndarray) -> np.ndarray:
+        return p @ self.block
+
+
 def fisher_info(
     theta: ParamVector, family: WeightFamily, work: _Workspace | None = None
 ) -> StructuredFisher:
@@ -274,18 +302,15 @@ def fisher_info(
     pass's margins and minimum are the matrix's, valid until the workspace's
     next pass; so is its cross block, which is the pass's variances when the
     workspace keeps them whole (the build is O(n)), and otherwise a
-    :class:`_LowRankCross` built in the workspace's blocks in O(n m), or, if
-    that needs more than ``_MAX_NODES`` nodes, new variances from a pass made
-    here.  Without such a workspace the same pass runs here into new arrays.
+    :class:`_DeferredCross`, built on its first product in O(n m).  Without
+    such a workspace the same pass runs here into new arrays.
     """
     validate_params(theta, family)
     if work is not None and work.theta is theta:
         moments = work.last
         cross = moments.variance
-        if cross is None:
-            cross = _low_rank_cross(theta, family, work)
-        if cross is None:
-            cross = _pair_moments(theta, family, _Workspace(theta.n, family)).variance
+        if cross is None:  # a block workspace
+            cross = _DeferredCross(theta, family, work)
     else:
         moments = _pair_moments(theta, family, _Workspace(theta.n, family))
         cross = moments.variance
@@ -339,17 +364,13 @@ def materialize_approx(approx: ApproxInverse) -> np.ndarray:
 
 
 def dense_inverse(fisher: StructuredFisher) -> np.ndarray:
-    """Exact inverse through a Cholesky factorization of the dense matrix."""
-    # Imported here: only the test oracle and approx_error factor dense
-    # matrices, and scipy.linalg is most of the package's import time.
-    import scipy.linalg
-
+    """Exact inverse ``L^-T L^-1`` from the Cholesky factor L of the dense matrix."""
     full = materialize(fisher)
     try:
-        factor = scipy.linalg.cho_factor(full, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        inv_factor = np.linalg.solve(np.linalg.cholesky(full), np.eye(full.shape[0]))
+    except np.linalg.LinAlgError as exc:
         raise SingularFisherError(f"Fisher matrix is not positive definite: {exc}") from exc
-    return scipy.linalg.cho_solve(factor, np.eye(full.shape[0]))
+    return inv_factor.T @ inv_factor
 
 
 def solve_structured(fisher: StructuredFisher, rhs: np.ndarray) -> np.ndarray:

@@ -536,8 +536,9 @@ def _maths(family: WeightFamily) -> _FamilyMaths:
 # per-edge quantities
 
 
-def _per_edge(family: WeightFamily, s, evaluate):
-    """``evaluate(record, pair sums)`` on a checked copy of ``s``; a float for a scalar."""
+def edge_moments(family: WeightFamily, s):
+    """Edge-weight mean and variance at pair sum ``s``, elementwise over
+    arrays and floats for a scalar, from one kernel call."""
     arr = np.array(s, dtype=float, ndmin=1)  # a copy, which the kernel overwrites
     if not np.all(np.isfinite(arr)):
         raise InvalidParameterError(f"pair sums must be finite for the {family.kind} family")
@@ -546,18 +547,18 @@ def _per_edge(family: WeightFamily, s, evaluate):
         raise InvalidParameterError(
             f"pair sums must be positive for the {family.kind} family (got {bad})"
         )
-    out = evaluate(_maths(family), arr)
-    return float(out[0]) if np.ndim(s) == 0 else out
+    mean, variance = _maths(family).moments(family, arr, np.empty_like(arr))
+    return (float(mean[0]), float(variance[0])) if np.ndim(s) == 0 else (mean, variance)
 
 
 def edge_mean(family: WeightFamily, s):
     """Expected edge weight at pair sum ``s`` (elementwise over arrays)."""
-    return _per_edge(family, s, lambda rec, x: rec.moments(family, x)[0])
+    return edge_moments(family, s)[0]
 
 
 def edge_variance(family: WeightFamily, s):
     """Edge-weight variance at pair sum ``s``; equals the Fisher cross entry."""
-    return _per_edge(family, s, lambda rec, x: rec.moments(family, x, np.empty_like(x))[1])
+    return edge_moments(family, s)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -26,14 +26,16 @@ the existence screen starts from its degree-class model rather than the
 closed-form ``default_start``.  The likelihood equations make each fitted
 effect a monotone function of its own degree, so the model with effects
 constant on six quantile classes of out-degree and six of in-degree already
-fixes the MLE closely: that 11-parameter model is solved by exact Newton on
-its own structured Fisher matrix, interpolated back to the vertices in
-degree, with an exact 1-D solve for the vertices outside the classes' mean
-degrees.  Fits then start inside Newton's quadratic range (binary n=1000
-fits take 4 edge passes instead of 6).  The stage costs O(n log n) and reads
-no n x n array; on any failure the fit starts from ``default_start``.
-Smaller fits, where the stage costs more than the iterations it saves, and
-fits given a ``theta0`` start where they did.
+fixes the MLE closely.  That 11-parameter model is solved by sweeps that
+solve each side's class equations against the other side's effects (the
+fixed-point idea of Chatterjee, Diaconis & Sly 2011), then interpolated
+back to the vertices in degree; the vertices outside the classes' mean
+degrees get an exact solve of their own equation, by the same row solver.
+Fits then start inside Newton's quadratic range (binary n=1000 fits take 4
+edge passes instead of 6).  The stage costs O(n log n) and reads no n x n
+array; on any failure the fit starts from ``default_start``.  Smaller fits,
+where the stage costs more than the iterations it saves, and fits given a
+``theta0`` start where they did.
 
 The MLE exists iff the observed bi-degree sequence lies in the interior of
 the mean polytope, and is then unique.  Interior membership has no practical
@@ -61,7 +63,6 @@ import numpy as np
 from .fisher import (
     _MAX_NODES,
     SingularFisherError,
-    StructuredFisher,
     apply_approx_inverse,
     approx_inverse,
     fisher_info,
@@ -72,12 +73,11 @@ from .model import (
     InvalidParameterError,
     ParamVector,
     WeightFamily,
-    _add_margins,
     _maths,
     _min_pair_sum,
     _Workspace,
     edge_mean,
-    edge_variance,
+    edge_moments,
     moment_residual,
     validate_params,
 )
@@ -183,8 +183,8 @@ _TOL_STEP = 1e-10
 _DIVERGENCE_BOUND = 30.0
 
 # The class stage of a default fit: degree classes per side, the smallest n
-# it runs at, its Newton budget and relative residual tolerance, and the
-# budget and step tolerance of the outlying vertices' 1-D solves.  Six
+# it runs at, its sweep budget and relative residual tolerance, and the
+# budget and step tolerance of the row solver.  Six
 # classes bring the design fits into Newton's quadratic range; eight save one
 # iteration more on binary and exponential n=1000 loglog designs (3 instead
 # of 4), and twelve on sqrtlog designs too (``scripts/start_sweep.py
@@ -202,8 +202,8 @@ _CLASSES = 6
 _CLASS_GATE = 400
 _CLASS_ITER = 10
 _CLASS_RTOL = 1e-4
-_VERTEX_ITER = 30
-_VERTEX_TOL = 1e-4
+_ROW_ITER = 30
+_ROW_TOL = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -260,113 +260,35 @@ def _quantile_classes(x: np.ndarray) -> np.ndarray:
     return label
 
 
-def _class_system(
+def _row_effects(
     family: WeightFamily,
-    a: np.ndarray,
-    b: np.ndarray,
-    weight: np.ndarray,
-    out_sums: np.ndarray,
-    in_sums: np.ndarray,
-) -> tuple[np.ndarray, StructuredFisher]:
-    """Residual and Fisher matrix of the class model at class effects (a, b).
-
-    ``weight[k, l]`` counts the ordered pairs ``i != j`` from out-class k to
-    in-class l, so the weighted class-pair means and variances take the
-    places of the edge means and variances, the diagonal k = l included.
-    """
-    sums = a[:, None] + b
-    mean = weight * edge_mean(family, sums)
-    var = weight * edge_variance(family, sums)
-    k = len(a)
-    ones = np.ones(k)
-    mean_rows, mean_cols, var_rows, var_cols, spare = np.empty((5, k))
-    _add_margins(mean, slice(0, k), mean_rows, mean_cols, ones, spare)
-    _add_margins(var, slice(0, k), var_rows, var_cols, ones, spare)
-    residual = np.concatenate([out_sums - mean_rows, (in_sums - mean_cols)[:-1]])
-    return residual, StructuredFisher(var, var_rows, var_cols, float(var.min()))
-
-
-def _solve_classes(
-    family: WeightFamily,
-    a: np.ndarray,
-    b: np.ndarray,
-    weight: np.ndarray,
-    out_sums: np.ndarray,
-    in_sums: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The class MLE by exact Newton from (a, b) with ``b[-1] = 0``, or None
-    unless the residual meets ``_CLASS_RTOL`` within ``_CLASS_ITER`` steps.
-
-    The steps are ``newton_fit``'s: capped at ``_MAX_STEP``, damped for the
-    rate families so no class pair sum falls below half the current
-    smallest, and halved until the residual stops increasing.
-    """
-    k = len(a)
-    sign = -1.0 if family.negated else 1.0
-    tol = _CLASS_RTOL * max(float(out_sums.max()), float(in_sums.max()))
-    residual, fisher = _class_system(family, a, b, weight, out_sums, in_sums)
-    norm = float(np.abs(residual).max())
-    for _ in range(_CLASS_ITER):
-        if not norm > tol:  # met, or not a number
-            break
-        delta = sign * solve_structured(fisher, residual)
-        da, db = delta[:k], np.append(delta[k:], 0.0)
-        lam = min(1.0, _MAX_STEP / max(float(np.abs(delta).max()), 1e-300))
-        if family.positive_pair_sums:
-            sums, dsums = a[:, None] + b, lam * (da[:, None] + db)
-            shrinking = dsums < 0
-            cut = (0.5 * sums.min() - sums[shrinking]) / dsums[shrinking]
-            lam *= min(1.0, float(np.min(cut, initial=1.0)))
-        for _ in range(30):
-            trial = _class_system(family, a + lam * da, b + lam * db, weight, out_sums, in_sums)
-            if float(np.abs(trial[0]).max()) <= norm:
-                break
-            lam *= 0.5
-        a, b = a + lam * da, b + lam * db
-        residual, fisher = trial
-        norm = float(np.abs(residual).max())
-    return (a, b) if norm <= tol else None
-
-
-def _vertex_effects(
-    family: WeightFamily,
-    degrees: np.ndarray,
-    near_degrees: np.ndarray,
-    near_effects: np.ndarray,
+    targets: np.ndarray,
+    centres: np.ndarray,
+    start: np.ndarray,
     other: np.ndarray,
-    counts: np.ndarray,
-    own: np.ndarray,
+    weights: np.ndarray,
 ) -> np.ndarray:
-    """Each vertex's effect x solving ``degree = sum_l w_l mu(x + other_l)``
-    with ``w_l = counts_l - [l == own]``, by bracketed Newton.
+    """Each row r's effect x solving ``targets[r] = sum_l weights[r, l]
+    mu(x + other[r, l])``, by bracketed Newton from ``start``.
 
-    ``other`` holds the other side's class effects, ``counts`` its class
-    sizes and ``own`` the vertex's own class there.  With ``t`` the pair sum
-    whose edge mean is ``degree / (n-1)``, the root lies in
-    ``[t - max(other), t - min(other)]`` (every pair sum is on one side of t
-    at either end), cut at ``-min(other)`` for the rate families.  Newton
-    starts from the nearest class's effect ``near_effects``, moved by the
-    difference between t and that of the class's mean degree
-    ``near_degrees``; a Newton point outside the bracket is replaced by the
-    midpoint.
+    With ``centres[r]`` the pair sum whose edge mean is ``targets[r]`` over
+    the row's total weight, every pair sum of the row is on one side of it at
+    either end of ``[centres - max(other), centres - min(other)]``, so the
+    root lies there, and for the rate families above the floor
+    ``-min(other)``.  A start or Newton point outside the bracket is replaced
+    by its midpoint.  Each iteration makes one kernel call.  The rows stop
+    together once no step exceeds ``_ROW_TOL``, nor that share of the
+    distance to the floor, near which the means' pole shortens the steps.
     """
-    m = degrees.size
-    nm1 = float(counts.sum()) - 1.0
-    targets = _maths(family).inverse_mean(family, np.concatenate([degrees, near_degrees]) / nm1)
-    target = targets[:m]
-    lo, hi = target - other.max(), target - other.min()
-    floor = -float(other.min()) if family.positive_pair_sums else -math.inf
-    lo = np.maximum(lo, floor)
-    x = near_effects + target - targets[m:]
-    x = np.where((lo <= x) & (x <= hi) & (x > floor), x, 0.5 * (lo + hi))
-    rows = np.arange(m)
+    low, high = other.min(axis=1), other.max(axis=1)
+    floor = -low if family.positive_pair_sums else -math.inf
+    lo, hi = np.maximum(centres - high, floor), centres - low
+    x = np.where((lo <= start) & (start <= hi) & (start > floor), start, 0.5 * (lo + hi))
     sign = -1.0 if family.negated else 1.0
-    for _ in range(_VERTEX_ITER):
-        sums = x[:, None] + other
-        mean = edge_mean(family, sums)
-        var = edge_variance(family, sums)
-        gap = mean @ counts - mean[rows, own] - degrees
-        slope = sign * (var @ counts - var[rows, own])
+    for _ in range(_ROW_ITER):
+        mean, var = edge_moments(family, x[:, None] + other)
+        gap = np.einsum("rl,rl->r", weights, mean) - targets
+        slope = sign * np.einsum("rl,rl->r", weights, var)
         above = sign * gap > 0  # x lies above the root
         np.copyto(hi, x, where=above)
         np.copyto(lo, x, where=~above)
@@ -375,48 +297,76 @@ def _vertex_effects(
         inside = (lo <= newton) & (newton <= hi) & (newton > floor)
         step = np.where(inside, newton, 0.5 * (lo + hi)) - x
         x = x + step
-        if float(np.abs(step).max()) <= _VERTEX_TOL:
+        if np.all(np.abs(step) <= _ROW_TOL * np.minimum(1.0, x - floor)):
             break
     return x
 
 
+def _solve_classes(
+    family: WeightFamily,
+    a: np.ndarray,
+    b: np.ndarray,
+    weight: np.ndarray,
+    sums: tuple[np.ndarray, np.ndarray],
+    centres: tuple[np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The class MLE by sweeps from (a, b), or None unless the residual meets
+    ``_CLASS_RTOL`` within ``_CLASS_ITER`` sweeps.
+
+    A sweep solves the out-classes' equations (degree ``sums[0]``, bracket
+    centres ``centres[0]``) against the in-class effects, then the
+    in-classes' against the new out-class effects, and renormalises to
+    ``b[-1] = 0``.  The in-class equations then hold, so the sweeps stop on
+    the out-class residual.
+    """
+    tol = _CLASS_RTOL * max(float(sums[0].max()), float(sums[1].max()))
+    for _ in range(_CLASS_ITER):
+        a = _row_effects(family, sums[0], centres[0], a, np.broadcast_to(b, weight.shape), weight)
+        b = _row_effects(family, sums[1], centres[1], b, np.broadcast_to(a, weight.shape), weight.T)
+        a, b = a + b[-1], b - b[-1]
+        mean = edge_mean(family, a[:, None] + b)
+        if float(np.abs(np.einsum("kl,kl->k", weight, mean) - sums[0]).max()) <= tol:
+            return a, b
+    return None
+
+
 def _prolong(
     family: WeightFamily,
-    degrees: np.ndarray,
-    sums: np.ndarray,
-    sizes: np.ndarray,
-    effects: np.ndarray,
-    other: np.ndarray,
-    other_sizes: np.ndarray,
-    other_label: np.ndarray,
-) -> np.ndarray:
-    """One side's vertex effects from its class effects.
+    degrees: tuple[np.ndarray, np.ndarray],
+    labels: tuple[np.ndarray, np.ndarray],
+    sizes: tuple[np.ndarray, np.ndarray],
+    sums: tuple[np.ndarray, np.ndarray],
+    effects: tuple[np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides' vertex effects from their class effects; each tuple holds
+    the out-side's array, then the in-side's.
 
-    The anchors are the class-mean degrees ``sums / sizes``; equal anchors
-    are merged, with their effects averaged by class size.  A vertex whose
-    degree lies within the anchors gets the effect interpolated linearly
-    between them; one outside gets the exact solve of its own likelihood
-    equation against the other side's class effects (``_vertex_effects``),
-    where extrapolation would put the rate families' pair sums near zero.
+    On each side the anchors are the class-mean degrees; equal anchors are
+    merged, with their effects averaged by class size.  A vertex whose degree
+    lies within the anchors gets the effect interpolated linearly between
+    them.  The vertices outside, of both sides, get the exact solve of their
+    own likelihood equations against the other side's class effects, from
+    their nearest anchor's effect, in one ``_row_effects`` call
+    (extrapolation would put the rate families' pair sums near zero).
     """
-    anchors, merged = np.unique(sums / sizes, return_inverse=True)
-    anchor_effects = np.bincount(merged, weights=effects * sizes) / np.bincount(
-        merged, weights=sizes
-    )
-    out = np.interp(degrees, anchors, anchor_effects)
-    outside = np.flatnonzero((degrees < anchors[0]) | (degrees > anchors[-1]))
-    if outside.size:
-        near = np.where(degrees[outside] < anchors[0], 0, anchors.size - 1)
-        out[outside] = _vertex_effects(
-            family,
-            degrees[outside],
-            anchors[near],
-            anchor_effects[near],
-            other,
-            other_sizes,
-            other_label[outside],
-        )
-    return out
+    n, interpolated, index, rows = degrees[0].size, [], [], []
+    for side, opp in ((0, 1), (1, 0)):
+        anchors, merged = np.unique(sums[side] / sizes[side], return_inverse=True)
+        total = np.bincount(merged, weights=sizes[side])
+        anchor_effects = np.bincount(merged, weights=effects[side] * sizes[side]) / total
+        x = degrees[side]
+        interpolated.append(np.interp(x, anchors, anchor_effects))
+        far = np.flatnonzero((x < anchors[0]) | (x > anchors[-1]))
+        index.append(far + side * n)
+        own = labels[opp][far, None] == np.arange(_CLASSES)  # one pair fewer
+        start = np.where(x[far] < anchors[0], anchor_effects[0], anchor_effects[-1])
+        rows.append((x[far], start, np.broadcast_to(effects[opp], own.shape), sizes[opp] - own))
+    out = np.concatenate(interpolated)
+    targets, start, other, weights = map(np.concatenate, zip(*rows))
+    if targets.size:
+        centres = _maths(family).inverse_mean(family, targets / (n - 1))
+        out[np.concatenate(index)] = _row_effects(family, targets, centres, start, other, weights)
+    return out[:n], out[n:]
 
 
 def _lift_pairs(alpha: np.ndarray, beta: np.ndarray, target: float) -> None:
@@ -450,37 +400,36 @@ def _class_start(g: BiDegree, family: WeightFamily, fallback: ParamVector) -> Pa
     then prolonged to the vertices (``_prolong``), for the rate families
     with each pair whose sum is not positive lifted to the damping target,
     half the class model's smallest pair sum (``_lift_pairs``), and
-    normalized to ``beta[-1] = 0``.  Any failure (the budget, a singular
-    class Fisher matrix, a value out of the family's domain) returns
-    ``fallback`` itself.
+    normalized to ``beta[-1] = 0``.  Any failure (the sweep budget, a value
+    out of the family's domain) returns ``fallback`` itself.
     """
     if g.n < 2 * _CLASSES:
         return fallback
     k = _CLASSES
-    out_label, in_label = _quantile_classes(g.d), _quantile_classes(g.b)
-    out_sizes = np.bincount(out_label, minlength=k).astype(float)
-    in_sizes = np.bincount(in_label, minlength=k).astype(float)
-    shared = np.bincount(out_label * k + in_label, minlength=k * k).reshape(k, k)
-    weight = np.outer(out_sizes, in_sizes) - shared
-    out_sums = np.bincount(out_label, weights=g.d, minlength=k)
-    in_sums = np.bincount(in_label, weights=g.b, minlength=k)
-    a = np.bincount(out_label, weights=fallback.alpha, minlength=k) / out_sizes
-    b = np.bincount(in_label, weights=fallback.beta, minlength=k) / in_sizes
+    degrees = (g.d, g.b)
+    labels = (_quantile_classes(g.d), _quantile_classes(g.b))
+    sizes = tuple(np.bincount(label, minlength=k).astype(float) for label in labels)
+    shared = np.bincount(labels[0] * k + labels[1], minlength=k * k).reshape(k, k)
+    weight = np.outer(*sizes) - shared
+    sums = tuple(np.bincount(label, weights=x, minlength=k) for label, x in zip(labels, degrees))
+    a = np.bincount(labels[0], weights=fallback.alpha, minlength=k) / sizes[0]
+    b = np.bincount(labels[1], weights=fallback.beta, minlength=k) / sizes[1]
+    means = np.concatenate(sums) / (np.concatenate(sizes) * (g.n - 1))
     try:
-        solution = _solve_classes(family, a + b[-1], b - b[-1], weight, out_sums, in_sums)
+        centres = np.split(_maths(family).inverse_mean(family, means), 2)
+        solution = _solve_classes(family, a + b[-1], b - b[-1], weight, sums, centres)
         if solution is None:
             return fallback
-        a, b = solution
-        alpha = _prolong(family, g.d, out_sums, out_sizes, a, b, in_sizes, in_label)
-        beta = _prolong(family, g.b, in_sums, in_sizes, b, a, out_sizes, out_label)
+        alpha, beta = _prolong(family, degrees, labels, sizes, sums, solution)
         if family.positive_pair_sums:
+            a, b = solution
             _lift_pairs(alpha, beta, 0.5 * float((a[:, None] + b).min()))
         shift = beta[-1]
         alpha += shift
         beta -= shift
         start = ParamVector(alpha, beta, negated=family.negated)
         validate_params(start, family)
-    except (SingularFisherError, InvalidParameterError):
+    except InvalidParameterError:
         return fallback
     return start
 

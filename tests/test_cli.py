@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -17,7 +18,7 @@ from bidegree.cli import (
     read_edge_list,
     write_edge_list,
 )
-from bidegree.model import WeightFamily
+from bidegree.model import Graph, WeightFamily
 from bidegree.sampler import SimDesign, derive_seed, design_params, sample_graph
 
 BINARY = WeightFamily.binary()
@@ -103,6 +104,22 @@ class TestEdgeListIO:
         write_edge_list(graph, Sink())
         back = read_edge_list("".join(lines).splitlines(), EXPONENTIAL, n=5)
         assert np.array_equal(back.weights, graph.weights)
+
+    def test_writer_matches_the_per_edge_reference(self):
+        # The per-edge form of the writer, byte for byte, on weights whose
+        # round trip needs all 17 significant digits, and on integers and
+        # the ends of the double range.
+        rng = np.random.default_rng(5)
+        weights = rng.random((30, 30)) * (rng.random((30, 30)) < 0.5)
+        weights[0, 1:6] = [0.1 + 0.2, 1.0 / 3.0, 3.0, 5e-324, 1.7976931348623157e308]
+        np.fill_diagonal(weights, 0.0)
+        assert any(float(f"{w:.16g}") != w for w in weights.ravel())
+        reference = "src,dst,weight\n" + "".join(
+            f"{i + 1},{j + 1},{weights[i, j]:.17g}\n" for i, j in zip(*np.nonzero(weights))
+        )
+        out = io.StringIO()
+        write_edge_list(Graph(weights), out)
+        assert out.getvalue() == reference
 
     def test_dense_matrix(self):
         graph = read_dense(["0,1,0", "0,0,1", "1,0,0"], BINARY)

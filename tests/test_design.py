@@ -20,7 +20,7 @@ A Newton trial reads the edges once: ``model._pair_moments`` is the one pass,
 and it sums the margins of each row block while the block is in cache.  So a
 family kernel (a ``.moments(`` or ``.pair_moments(`` call, or a call of a
 ``_<family>_moments`` function) runs only inside that pass, the per-edge
-helpers ``edge_mean`` and ``edge_variance``, the finite inverse mean, and
+helper ``edge_moments``, the finite inverse mean, and
 ``fisher._low_rank_cross``, which evaluates the variances at its
 interpolation nodes once per Newton step, not per trial.  No
 code takes the margins of an n x n array outside the pass's
@@ -49,8 +49,7 @@ LINALG_ALLOWED = {("fisher.py", "dense_inverse")}
 STEP_MODE_ALLOWED = {("solver.py", "FitConfig.__post_init__"), ("solver.py", "newton_fit")}
 KERNEL_ALLOWED = {
     ("model.py", "_pair_moments"),
-    ("model.py", "edge_mean"),
-    ("model.py", "edge_variance"),
+    ("model.py", "edge_moments"),
     ("model.py", "_finite_inverse_mean"),
     ("fisher.py", "_low_rank_cross"),
 }

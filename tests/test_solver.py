@@ -457,6 +457,33 @@ class TestSapproxHandover:
         assert calls["approx"] >= 15 and 1 <= calls["exact"] <= 2
 
 
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.label)
+    def test_only_exact_steps_build_the_cross_block(self, monkeypatch, family):
+        # From the gate on, a step's low-rank cross block is built on its
+        # first product; approximate steps read only the margins.
+        builds, solves = [], []
+
+        def counted(fn, calls):
+            def wrapper(*args, **kwargs):
+                calls.append(1)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            bidegree.fisher, "_low_rank_cross", counted(bidegree.fisher._low_rank_cross, builds)
+        )
+        monkeypatch.setattr(
+            bidegree.solver, "solve_structured", counted(bidegree.solver.solve_structured, solves)
+        )
+        n = bidegree.solver._CLASS_GATE
+        design = design_params(SimDesign(family, n, ramp_magnitude("loglog", n)))
+        g = bi_degrees(sample_graph(design, family, derive_seed(9, 0)))
+        result = newton_fit(g, family, config=FitConfig(step_mode="sapprox"))
+        assert result.converged and len(result.trace) > len(solves) >= 1
+        assert len(builds) == len(solves)
+
+
 def _feasible_top(family, n):
     """Just below the largest degree the screen lets through."""
     return 0.95 * family.max_weight * (n - 1) if family.max_weight < math.inf else 5.0 * n
@@ -493,6 +520,87 @@ def class_stage_cases(draw):
     return family, BiDegree(d, b)
 
 
+def bisection_root(family, target, other, weights):
+    """The x with ``target = sum_l weights[l] mu(x + other[l])``, bisected to
+    rounding over a bracket wide enough for every case of ``row_cases``: the
+    weighted mean sum is monotone in x, and for the rate families it runs
+    from +inf at x = -min(other) down to 0."""
+    lo, hi = (-min(other), -min(other) + 1e4) if family.positive_pair_sums else (-1e3, 1e3)
+    increasing = not family.negated
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if family.positive_pair_sums and mid + min(other) <= 0.0:
+            lo = mid
+            continue
+        above = float(weights @ edge_mean(family, mid + other)) > target
+        if above == increasing:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+@st.composite
+def row_cases(draw):
+    """Rows of ``_row_effects`` for every family: up to eight rows against
+    up to six columns of other effects with positive weights.  Edge means
+    per unit weight run over the family's support, out to 1e-9 of a bounded
+    support's ends and, for the rate families, up to means of 100, whose
+    brackets are cut at the floor ``-min(other)``.  Starts lie inside or
+    outside the brackets."""
+    family = draw(st.sampled_from(ALL_FAMILIES))
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([0.0, 0.5, 3.0]))
+    other = draw(st.floats(-1.0, 1.0)) + spread * rng.random((rows, cols))
+    weights = rng.integers(1, 60, (rows, cols)).astype(float)
+    if family.positive_pair_sums:
+        means = np.exp(rng.uniform(math.log(0.01), math.log(100.0), rows))
+    else:
+        ends = np.array([1e-9, 1e-4, 0.5, 1.0 - 1e-4, 1.0 - 1e-9])
+        means = family.max_weight * np.where(
+            rng.random(rows) < 0.5, rng.choice(ends, rows), rng.uniform(0.01, 0.99, rows)
+        )
+    targets = weights.sum(axis=1) * means
+    centres = bidegree.model._maths(family).inverse_mean(family, means)
+    start = rng.uniform(-5.0, 5.0, rows)
+    return family, targets, centres, start, other, weights
+
+
+def assert_rows_solved(family, targets, centres, start, other, weights):
+    """``_row_effects`` is within the step tolerance of each row's bisected
+    root, and for the rate families within that share of the root's distance
+    from the floor: near the floor the edge means' pole makes the Newton
+    steps as short as that distance while the root may lie several times
+    further out."""
+    x = bidegree.solver._row_effects(family, targets, centres, start, other, weights)
+    for r in range(len(x)):
+        root = bisection_root(family, targets[r], other[r], weights[r])
+        room = root + other[r].min() if family.positive_pair_sums else math.inf
+        assert abs(x[r] - root) <= bidegree.solver._ROW_TOL * min(1.0, room)
+        assert x[r] + other[r].min() > 0.0 or not family.positive_pair_sums
+
+
+class TestRowEffects:
+    @given(row_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_bisection(self, case):
+        assert_rows_solved(*case)
+
+    @pytest.mark.parametrize("family", [EXPONENTIAL, GEOMETRIC], ids=lambda f: f.label)
+    def test_roots_just_above_the_floor(self, family):
+        # Edge means of 3 to 100 per unit weight put the roots' smallest pair
+        # sums at 1e-3 to 0.3, from starts on either side of the bracket.
+        means = np.repeat([3.0, 10.0, 30.0, 100.0], 3)
+        other = np.tile([0.0, 0.5], (means.size, 1))
+        weights = np.tile([1.0, 10.0], (means.size, 1))
+        centres = bidegree.model._maths(family).inverse_mean(family, means)
+        start = np.tile([-5.0, 0.0, 5.0], 4)
+        assert_rows_solved(family, 11.0 * means, centres, start, other, weights)
+
+
 class TestClassStart:
     """The class stage refines a default fit's start from n =
     ``_CLASS_GATE`` on; it returns a valid start or the closed-form one and
@@ -521,14 +629,9 @@ class TestClassStart:
         _, g = sampled_instance(GEOMETRIC, 60, 4)
         fallback = default_start(g, GEOMETRIC)
         with monkeypatch.context() as patch:
-            patch.setattr(bidegree.solver, "_CLASS_ITER", 1)  # the budget
+            patch.setattr(bidegree.solver, "_CLASS_ITER", 0)  # the sweep budget
             assert bidegree.solver._class_start(g, GEOMETRIC, fallback) is fallback
-
-        def singular(fisher, rhs):
-            raise bidegree.fisher.SingularFisherError("forced")
-
-        monkeypatch.setattr(bidegree.solver, "solve_structured", singular)
-        assert bidegree.solver._class_start(g, GEOMETRIC, fallback) is fallback
+        assert bidegree.solver._class_start(g, GEOMETRIC, fallback) is not fallback
         few = 2 * bidegree.solver._CLASSES - 1  # too few vertices for the classes
         small = BiDegree(np.full(few, 3.0), np.full(few, 3.0))
         small_fallback = default_start(small, GEOMETRIC)
