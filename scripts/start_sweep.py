@@ -1,20 +1,29 @@
 #!/usr/bin/env python3
-"""Compare the closed-form start with the class start, per family and n.
+"""Compare the closed-form start with the class start and the swept start,
+per family and n.
 
 For each family and n, samples graphs from the ramp design and fits each one
-twice, alternating the order: from ``default_start`` and from the class
-stage's start (``default_start`` refined by the degree-class model).  Both
-fits pass their start as ``theta0``, so the class start is measured at every
-n, below ``newton_fit``'s gate too, and its fit time includes the stage.
-Prints one CSV row per (family, n): mean Newton iterations and median fit
-time of each start, and how many fits gave different verdicts.  The gate
-``solver._CLASS_GATE`` is set with a margin above the n from which the class
-start's fits are faster on every family.  ``--classes K`` runs the class
-start with K classes per side in place of ``solver._CLASSES``.
+three times, rotating the order: from ``default_start``, from the class
+stage's start (``default_start`` refined by the degree-class model) and from
+the swept start (``default_start`` refined by the vertex sweeps).  Every fit
+passes its start as ``theta0``, so each start is measured at every n,
+outside ``newton_fit``'s gates too, and its fit time includes the start's
+own stage.  Prints one CSV row per (family, n): mean Newton iterations and
+median fit time of each start, and how many fits gave verdicts that differ
+from the closed form's.  ``--classes K`` runs the class start with K classes
+per side in place of ``solver._CLASSES``.
+
+The gates are set from these rows.  ``solver._CLASS_GATE`` keeps a margin
+above the n from which the class start's fits are faster on every family.
+``solver._SWEEP_GATE`` is the smallest n from which the swept start's fits
+were faster than the closed form's on every family and rule tried (zero,
+loglog, sqrtlog): at n = 100 binary and ``finite:4`` fits of the zero rule,
+whose closed-form fits take only 3-4 iterations, were slower with sweeps;
+from n = 150 on no cell was.
 
 Example:
     python scripts/start_sweep.py --families binary finite:4 geometric exponential \
-        --n 200 300 400 --rule sqrtlog --graphs 20 --repeats 3 --classes 8
+        --n 100 150 200 300 --rule zero --graphs 12 --repeats 5
 """
 
 import argparse
@@ -29,7 +38,14 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import bidegree.solver
 from bidegree.model import WeightFamily, bi_degrees
 from bidegree.sampler import SimDesign, derive_seed, design_params, ramp_magnitude, sample_graph
-from bidegree.solver import Feasibility, _class_start, default_start, existence_check, newton_fit
+from bidegree.solver import (
+    Feasibility,
+    _class_start,
+    _sweep_start,
+    default_start,
+    existence_check,
+    newton_fit,
+)
 
 
 def closed_form_fit(g, family):
@@ -37,17 +53,28 @@ def closed_form_fit(g, family):
 
 
 def class_fit(g, family):
-    # as in newton_fit, the stage runs only on graphs that pass the screen
+    # as in newton_fit, the stages run only on graphs that pass the screen
     start = default_start(g, family)
     if existence_check(g, family) is Feasibility.FEASIBLE:
         start = _class_start(g, family, start)
     return newton_fit(g, family, theta0=start)
 
 
+def swept_fit(g, family):
+    if existence_check(g, family) is Feasibility.FEASIBLE:
+        start = _sweep_start(g, family)[0]
+    else:
+        start = default_start(g, family)
+    return newton_fit(g, family, theta0=start)
+
+
+STARTS = {"closed_form": closed_form_fit, "class": class_fit, "swept": swept_fit}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--families", nargs="+", default=["binary", "finite:4", "geometric", "exponential"])
-    parser.add_argument("--n", nargs="+", type=int, default=[200, 300, 400])
+    parser.add_argument("--n", nargs="+", type=int, default=[100, 150, 200, 300])
     parser.add_argument("--rule", default="sqrtlog", help="ramp rule of the design")
     parser.add_argument("--graphs", type=int, default=10, help="graphs per (family, n)")
     parser.add_argument("--repeats", type=int, default=3, help="timed fits per graph and start")
@@ -61,35 +88,35 @@ def main() -> int:
         parser.error("--classes must be at least 1")
     bidegree.solver._CLASSES = args.classes
 
-    starts = {"closed_form": closed_form_fit, "class": class_fit}
-    print("family,n,L_rule,graphs,closed_form_iterations,class_iterations,"
-          "closed_form_ms,class_ms,verdicts_differ")
+    names = list(STARTS)
+    print("family,n,L_rule,graphs,"
+          + ",".join(f"{name}_iterations" for name in names) + ","
+          + ",".join(f"{name}_ms" for name in names) + ",verdicts_differ")
     for label in args.families:
         family = WeightFamily.parse(label)
         for n in args.n:
             theta = design_params(SimDesign(family, n, ramp_magnitude(args.rule, n)))
-            iterations = {name: [] for name in starts}
-            seconds = {name: [] for name in starts}
+            iterations = {name: [] for name in names}
+            seconds = {name: [] for name in names}
             differ = 0
             for r in range(args.graphs):
                 g = bi_degrees(sample_graph(theta, family, derive_seed(args.seed, r)))
                 verdicts = {}
                 for repeat in range(args.repeats):
-                    order = list(starts) if (r + repeat) % 2 == 0 else list(starts)[::-1]
-                    for name in order:
+                    shift = (r + repeat) % len(names)
+                    for name in names[shift:] + names[:shift]:
                         begin = time.perf_counter()
-                        result = starts[name](g, family)
+                        result = STARTS[name](g, family)
                         seconds[name].append(time.perf_counter() - begin)
                         if repeat == 0:
                             iterations[name].append(result.iterations)
                             verdicts[name] = result.existence
-                differ += verdicts["closed_form"] is not verdicts["class"]
+                differ += any(verdicts[name] is not verdicts["closed_form"] for name in names)
             print(
                 f"{label},{n},{args.rule},{args.graphs},"
-                f"{statistics.mean(iterations['closed_form']):.2f},"
-                f"{statistics.mean(iterations['class']):.2f},"
-                f"{1e3 * statistics.median(seconds['closed_form']):.3f},"
-                f"{1e3 * statistics.median(seconds['class']):.3f},{differ}",
+                + ",".join(f"{statistics.mean(iterations[name]):.2f}" for name in names) + ","
+                + ",".join(f"{1e3 * statistics.median(seconds[name]):.3f}" for name in names)
+                + f",{differ}",
                 flush=True,
             )
     return 0

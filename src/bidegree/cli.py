@@ -181,6 +181,7 @@ def _cmd_fit(args) -> int:
         "existence": result.existence.value,
         "converged": result.converged,
         "iterations": result.iterations,
+        "start": result.start,
         "residual_norm_inf": result.residual_norm_inf,
         "theta_hat": None,
         "v_hat": None,

@@ -49,7 +49,9 @@ import numpy as np
 from .model import (
     ParamVector,
     WeightFamily,
+    _barycentric,
     _maths,
+    _node_table,
     _pair_moments,
     _Workspace,
     validate_params,
@@ -203,17 +205,16 @@ def _low_rank_cross(
     ``y = -inf``, and the nodes crowd towards the smallest pair sums, where
     the variances vary fastest.  (A rate-family range that reaches the pole
     takes the whole matrix.)  One call of the family's kernel evaluates K
-    and dv.  Given a fit's workspace, whose passes keep only blocks, the
-    operator lives in the blocks until the next pass: the block of means
-    holds the pair sums, then P, and the block of variances K and dv.
-    Otherwise its arrays are new.
+    and dv (:func:`bidegree.model._node_table`).  Given a fit's workspace,
+    whose passes keep only blocks, the operator lives in the blocks until
+    the next pass: the block of means holds the pair sums, then P, and the
+    block of variances K and dv.  Otherwise its arrays are new.
     """
     n = theta.n
     alpha, beta = theta.alpha, theta.beta
     y = alpha
     if family.positive_pair_sums:
-        shift = float(beta.min())
-        y = alpha + shift
+        y = alpha + float(beta.min())
         if not y.min() > 0.0:
             return None
         y = np.log(y)
@@ -226,40 +227,15 @@ def _low_rank_cross(
         pairs, values = work.means.reshape(-1), work.variance.reshape(-1)
     sums = pairs[: (m + 1) * n].reshape(m + 1, n)
     out = values[: (m + 1) * n].reshape(m + 1, n)
-    angles = (np.arange(m) + 0.5) * (math.pi / m)
-    nodes = np.cos(angles)  # first kind, on [-1, 1]
     lo, hi = float(y.min()), float(y.max())
-    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    points = centre + half * nodes
-    # the pair sums of the nodes and of the diagonal, filled as the edge pass
-    # fills its blocks; the rate families' node pair sums add two positive
-    # terms, exp(y_k) and beta_j - min beta, so they keep full relative
-    # accuracy however close to 0 they come
-    if family.positive_pair_sums:
-        np.exp(points, out=points)
-        np.subtract(beta, shift, out=out[m])
-        np.copyto(out[:m], out[m])
-    else:
-        np.copyto(out[:m], beta)
-    np.copyto(sums[:m], points[:, None])
-    np.add(sums[:m], out[:m], out=sums[:m])
-    np.add(alpha, beta, out=sums[m])
-    _maths(family).moments(family, sums, out)
+    np.add(alpha, beta, out=sums[m])  # the diagonal, in the same kernel call
+    _node_table(family, lo, hi, m, beta, sums, out)
     P = pairs[: n * m].reshape(n, m)
     if m == 1:  # y is constant, or its range below rounding: K's row is the block's
         P.fill(1.0)
-        return _LowRankCross(P, out[:m], out[m])
-    weights = np.sin(angles)
-    weights[1::2] *= -1.0
-    t = (y - centre) / half
-    np.subtract.outer(t, nodes, out=P)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(1.0, P, out=P)
-        scale = P @ weights
-        P *= weights
-        P /= scale[:, None]
-    for i in np.flatnonzero(~np.isfinite(scale)):  # y_i is a node
-        P[i] = t[i] == nodes
+    else:
+        centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        _barycentric((y - centre) / half, m, P)
     return _LowRankCross(P, out[:m], out[m])
 
 

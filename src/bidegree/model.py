@@ -45,6 +45,7 @@ A workspace is made per fit and never outlives it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -675,8 +676,9 @@ class _Moments(NamedTuple):
 
 def _add_margins(block: np.ndarray, rows: slice, row_sums, col_sums, ones, spare) -> None:
     """Add a row block's row and column sums into the margins, as mat-vecs
-    with a ones vector while the block is in cache."""
-    np.dot(block, ones, out=row_sums[rows])
+    with a ones vector, at least as long as the block is high and wide,
+    while the block is in cache."""
+    np.dot(block, ones[: block.shape[1]], out=row_sums[rows])
     if rows.start == 0:
         np.dot(ones[: len(block)], block, out=col_sums)
     else:
@@ -735,6 +737,71 @@ def _pair_moments(theta: ParamVector, family: WeightFamily, work: _Workspace) ->
         return _Moments(mean_rows, mean_cols, None, None, None, math.nan)
     whole = variance if len(variance) == n else None
     return _Moments(mean_rows, mean_cols, whole, var_rows, var_cols, cross_min)
+
+
+@functools.lru_cache(maxsize=None)
+def _chebyshev(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m first-kind Chebyshev nodes on [-1, 1] and their barycentric
+    weights (Berrut & Trefethen 2004), read-only and made once per m."""
+    angles = (np.arange(m) + 0.5) * (math.pi / m)
+    weights = np.sin(angles)
+    weights[1::2] *= -1.0
+    nodes = np.cos(angles)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _node_table(
+    family: WeightFamily,
+    lo: float,
+    hi: float,
+    m: int,
+    other: np.ndarray,
+    sums: np.ndarray,
+    values: np.ndarray,
+) -> None:
+    """The edge moments at the pair sums of m Chebyshev nodes with every
+    entry of ``other``: the table of an interpolant in one effect x, over
+    its interpolation variable y in [lo, hi].
+
+    The variable is y = x, or for the rate families y = log(x + min
+    other), whose pole at pair sum 0 then lies at y = -inf.  Rows
+    ``sums[:m]`` get the pair sums of the nodes, filled as the edge pass
+    fills its blocks, with ``values[:m]`` as scratch; the rate families'
+    sums add two positive terms, exp(y_k) and other_j - min other, so they
+    keep full relative accuracy however close to 0 they come.  Then one
+    call of the family's kernel over every row of ``sums`` (rows after m
+    hold pair sums the caller filled) writes the means over the sums and
+    the variances to ``values``.
+    """
+    nodes, _ = _chebyshev(m)
+    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    points = centre + half * nodes
+    if family.positive_pair_sums:
+        np.exp(points, out=points)
+        np.subtract(other, other.min(), out=values[0])
+        np.copyto(values[1:m], values[0])
+    else:
+        np.copyto(values[:m], other)
+    np.copyto(sums[:m], points[:, None])
+    np.add(sums[:m], values[:m], out=sums[:m])
+    _maths(family).moments(family, sums, values)
+
+
+def _barycentric(t: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
+    """``out[i] @ f(nodes)`` is the m-node interpolant of f at ``t[i]`` in
+    [-1, 1]: the barycentric weights of :func:`_chebyshev`'s nodes, with the
+    unit row of a point that falls on a node."""
+    nodes, weights = _chebyshev(m)
+    np.subtract.outer(t, nodes, out=out)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(1.0, out, out=out)
+        scale = out @ weights
+        out *= weights
+        out /= scale[:, None]
+    for i in np.flatnonzero(~np.isfinite(scale)):  # t_i is a node
+        out[i] = t[i] == nodes
+    return out
 
 
 def _edge_means(theta: ParamVector, family: WeightFamily) -> np.ndarray:

@@ -57,6 +57,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,8 +74,11 @@ from .model import (
     InvalidParameterError,
     ParamVector,
     WeightFamily,
+    _add_margins,
+    _barycentric,
     _maths,
     _min_pair_sum,
+    _node_table,
     _Workspace,
     edge_mean,
     edge_moments,
@@ -145,6 +149,12 @@ class FitResult:
     residual_norm_inf: float
     trace: tuple[tuple[float, float], ...] = field(default_factory=tuple)
     """Per-iteration pairs (residual inf-norm before the step, step inf-norm)."""
+    start: str = "closed_form"
+    """Where the iteration started: ``"given"`` (the caller's ``theta0``),
+    ``"closed_form"`` (:func:`default_start`), ``"sweeps"`` (the closed form
+    refined by vertex sweeps) or ``"class"`` (the degree-class stage)."""
+    start_sweeps: int = 0
+    """The vertex sweeps the start took; 0 unless ``start == "sweeps"``."""
 
 
 @dataclass(frozen=True)
@@ -205,6 +215,16 @@ _CLASS_RTOL = 1e-4
 _ROW_ITER = 30
 _ROW_TOL = 1e-4
 
+# The vertex sweeps of a default fit below the class gate: the smallest n
+# they run at, their budget, the Chebyshev nodes of a row table and the
+# points of its fixed grid.
+_SWEEP_GATE = 150
+_SWEEP_ITER = 3
+_SWEEP_NODES = 16
+_GRID = np.linspace(-1.0, 1.0, 1025)
+_GRID_WEIGHTS = _barycentric(_GRID, _SWEEP_NODES, np.empty((_GRID.size, _SWEEP_NODES)))
+_GRID_WEIGHTS.flags.writeable = False
+
 
 # ---------------------------------------------------------------------------
 # feasibility screen and warm start
@@ -239,14 +259,239 @@ def default_start(g: BiDegree, family: WeightFamily) -> ParamVector:
     """
     nm1 = g.n - 1
     inverse_mean = _maths(family).inverse_mean
+    alpha, beta = (inverse_mean(family, _clipped(family, x / nm1, nm1)) for x in (g.d, g.b))
+    return _closed_form(family, alpha, beta)
+
+
+def _clipped(family: WeightFamily, means: np.ndarray, nm1: int) -> np.ndarray:
+    """The edge means per vertex whose inverse means :func:`default_start` takes."""
     if family.positive_pair_sums:
-        alpha, beta = (0.5 * inverse_mean(family, np.maximum(x, 0.5) / nm1) for x in (g.d, g.b))
-        return ParamVector(alpha + beta[-1], beta - beta[-1], negated=True)
+        return np.maximum(means, 0.5 / nm1)
     top, lo = family.max_weight, 1.0 / (2.0 * nm1)
-    alpha, beta = (
-        inverse_mean(family, np.clip(x / nm1, top * lo, top * (1.0 - lo))) for x in (g.d, g.b)
-    )
+    return np.clip(means, top * lo, top * (1.0 - lo))
+
+
+def _closed_form(family: WeightFamily, alpha: np.ndarray, beta: np.ndarray) -> ParamVector:
+    """:func:`default_start` from the inverse means of both sides."""
+    if family.positive_pair_sums:
+        alpha, beta = 0.5 * alpha, 0.5 * beta
+        return ParamVector(alpha + beta[-1], beta - beta[-1], negated=True)
     return ParamVector(alpha, beta - beta[-1], negated=family.negated)
+
+
+# ---------------------------------------------------------------------------
+# vertex sweeps: the start of a default fit from n = _SWEEP_GATE to _CLASS_GATE
+
+
+class _RowTable(NamedTuple):
+    """One side's rows against the other side's effects: each row's bracket
+    ``[lo, hi]``; the row-sum function ``G`` at the grid points ``y`` of the
+    interpolation variable (increasing), or None where it is not strictly
+    monotone, with the shift of the rate families' ``x = exp(y) - shift``;
+    the edge mean and variance of each row's own diagonal pair sum at the
+    effects the table was made for; and the row ``k`` whose diagonal term
+    is its largest, with ``Gk``, G less that term."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    y: np.ndarray
+    G: np.ndarray | None
+    shift: float
+    own_mean: np.ndarray
+    own_var: np.ndarray
+    k: int
+    Gk: np.ndarray
+
+
+def _row_table(
+    family: WeightFamily,
+    centres: np.ndarray,
+    floors: np.ndarray | None,
+    x: np.ndarray,
+    other: np.ndarray,
+    buffers: tuple[np.ndarray, ...],
+) -> _RowTable:
+    """The table of ``G(x) = sum_j mu(x + other_j)`` for the rows with
+    effects ``x`` and bracket centres ``centres``.
+
+    With ``o`` row i's other effects ``other_j``, ``j != i``, its root lies
+    in ``[centres_i - max o, centres_i - min o]`` (as in
+    :func:`_row_effects`), and for the rate families at or above ``floors_i
+    - min o``: the row's smallest pair sum has an edge mean of at most its
+    target, whose inverse mean is ``floors_i``.  The table spans the union
+    of the brackets in ``y = x``, or ``y = log(x + min other)`` for the rate
+    families, leaving out a lower end at or below the pole (only a row that
+    holds ``min other`` can have one).  One kernel call evaluates the
+    ``_SWEEP_NODES`` node means and the rows' diagonal terms; the node
+    means' row sums, through the edge pass's margins, give G at the nodes,
+    and one product with the fixed barycentric matrix gives G on the grid.
+    Every row's diagonal term is at most its largest off-diagonal one,
+    hence at most its target, except in the row k holding the other effect
+    with the largest edge mean (for the rate families, at the pole), whose
+    own table leaves its diagonal term out, and whose diagonal pair sum
+    alone may lie outside the family's domain.
+    """
+    m = _SWEEP_NODES
+    k_low, k_high = int(np.argmin(other)), int(np.argmax(other))
+    ends = np.partition(other, (1, other.size - 2))
+    low, high = float(ends[0]), float(ends[-1])
+    lo, hi = centres - high, centres - low
+    lo[k_high] = centres[k_high] - ends[-2]
+    hi[k_low] = centres[k_low] - ends[1]
+    k = k_low if family.negated else k_high
+    sums, values, ones, nodes, spare = buffers
+    np.add(x, other, out=sums[m])
+    sums[m, k] = 1.0  # row k needs no diagonal term; this pair sum is in every family's domain
+    if floors is None:
+        bottom, top = float(lo.min()), float(hi.max())
+    else:
+        if not sums[m].min() > 0.0:
+            raise InvalidParameterError("a diagonal pair sum is not positive")
+        bound = floors - low
+        bound[k_low] = floors[k_low] - ends[1]
+        np.maximum(lo, bound, out=lo)
+        above = lo + low  # the brackets' bottoms, over the interpolation variable
+        bottom = float(np.min(above, where=above > 0.0, initial=np.inf))
+        if bottom == math.inf:
+            raise InvalidParameterError("no row's bracket lies above the pole")
+        bottom, top = math.log(bottom), math.log(float(hi.max()) + low)
+    _node_table(family, bottom, top, m, other, sums, values)
+    _add_margins(sums[:m], slice(0, m), nodes, spare, ones, spare)
+    G, Gk = _GRID_WEIGHTS @ nodes, _GRID_WEIGHTS @ (nodes - sums[:m, k])
+    later, earlier = (Gk[:-1], Gk[1:]) if family.negated else (Gk[1:], Gk[:-1])
+    monotone = np.all(later > earlier)
+    later, earlier = (G[:-1], G[1:]) if family.negated else (G[1:], G[:-1])
+    y = 0.5 * (bottom + top) + 0.5 * (top - bottom) * _GRID
+    G = G if monotone and np.all(later > earlier) else None
+    return _RowTable(lo, hi, y, G, low, sums[m], values[m], k, Gk)
+
+
+def _invert(family: WeightFamily, table: _RowTable, level, G, y) -> np.ndarray:
+    """The effects at which the table's G, oriented increasing, reads
+    ``level``, by linear interpolation; NaN off the table."""
+    out = np.interp(level, G, y, np.nan, np.nan)
+    if family.positive_pair_sums:
+        np.exp(out, out=out)
+        out -= table.shift
+    return out
+
+
+def _solve_rows(
+    family: WeightFamily,
+    table: _RowTable,
+    targets: np.ndarray,
+    centres: np.ndarray,
+    x: np.ndarray,
+    other: np.ndarray,
+) -> np.ndarray:
+    """Each row's effect, solving ``targets_i = sum_{j != i} mu(x_i +
+    other_j)`` on the table: ``G(x_i) = targets_i + mu(x_i + other_i)``,
+    inverted by linear interpolation, twice, so that the row's own diagonal
+    term (1/(n-1) of the sum) settles: first at ``x``, then moved to the
+    first solution along its slope, the edge variance; row ``table.k``
+    reads its own table, which leaves the term out.  Rows off the table,
+    rows whose diagonal term does not settle, rows that land outside their
+    brackets, and all rows when the table is not monotone are solved by
+    :func:`_row_effects` against their whole row; every row ends inside its
+    bracket."""
+    n = x.size
+    if table.G is None:
+        out, off = x.copy(), np.arange(n)
+    else:
+        G, y = (table.G[::-1], table.y[::-1]) if family.negated else (table.G, table.y)
+        level = targets + table.own_mean
+        move = np.subtract if family.negated else np.add
+        first = _invert(family, table, level, G, y)  # a row off the table is NaN
+        out = _invert(family, table, move(level, table.own_var * (first - x)), G, y)
+        # a diagonal term that moves its row by more than half the row's own
+        # move is too far from linear, or too large, to settle in two solves
+        unsettled = np.abs(out - first) > 0.5 * np.abs(first - x)
+        k, Gk = table.k, table.Gk[::-1] if family.negated else table.Gk
+        out[k] = _invert(family, table, targets[k : k + 1], Gk, y)[0]
+        unsettled[k] = False
+        out[unsettled | (out < table.lo) | (out > table.hi)] = np.nan
+        off = np.flatnonzero(np.isnan(out))
+    if off.size:
+        keep = np.arange(n) != off[:, None]
+        rest = np.broadcast_to(other, keep.shape)[keep].reshape(off.size, n - 1)
+        out[off] = _row_effects(
+            family, targets[off], centres[off], x[off], rest, np.ones(rest.shape)
+        )
+    return np.clip(out, table.lo, table.hi, out=out)
+
+
+def _row_residual(
+    family: WeightFamily, table: _RowTable, x: np.ndarray, targets: np.ndarray
+) -> float:
+    """The rows' largest residual at ``x``, read off the table; NaN when a
+    row lies off it."""
+    y = x
+    if family.positive_pair_sums:  # row k can lie below the pole: off the table
+        y = np.log(np.maximum(x + table.shift, np.finfo(float).tiny))
+    sums = np.interp(y, table.y, table.G, np.nan, np.nan) - table.own_mean
+    k = table.k
+    sums[k] = np.interp(y[k], table.y, table.Gk, np.nan, np.nan)
+    return float(np.abs(sums - targets).max())
+
+
+def _sweep_start(
+    g: BiDegree, family: WeightFamily, work: _Workspace | None = None
+) -> tuple[ParamVector, int]:
+    """:func:`default_start` refined by vertex sweeps, and the sweeps taken:
+    0, with :func:`default_start` itself, on any failure.
+
+    The inverse means of both sides' edge means per vertex, made in one
+    call, are the rows' bracket centres and the closed form's values
+    wherever :func:`default_start` does not clip.  A sweep solves every
+    out-vertex's likelihood equation against the in-effects on one table
+    (:func:`_row_table`, :func:`_solve_rows`), then every in-vertex's
+    against the new out-effects, and renormalises to ``beta[-1] = 0``
+    (the fixed-point idea of Chatterjee, Diaconis & Sly 2011, at vertex
+    resolution).  The sweeps stop once the out-vertices' residual, read off
+    the next sweep's table, meets ``_CLASS_RTOL`` relative to the largest
+    degree, or after ``_SWEEP_ITER`` sweeps.  The tables live in the block
+    of means of the fit's workspace ``work``, before its first pass, or
+    else in a new array.
+    """
+    n, nm1 = g.n, g.n - 1
+    inverse_mean = _maths(family).inverse_mean
+    degrees = np.concatenate([g.d, g.b])
+    means = degrees / nm1
+    rate = family.positive_pair_sums
+    inverse = inverse_mean(family, np.concatenate([means, degrees]) if rate else means)
+    centres = inverse[: 2 * n]
+    values = centres.copy()
+    clipped = _clipped(family, means, nm1)
+    moved = clipped != means
+    if moved.any():
+        values[moved] = inverse_mean(family, clipped[moved])
+    start = _closed_form(family, *np.split(values, 2))
+    targets, centres = np.split(degrees, 2), np.split(centres, 2)
+    floors = np.split(inverse[2 * n :], 2) if rate else (None, None)
+    rows = _SWEEP_NODES + 1
+    tables = np.empty((2 * rows, n)) if work is None else work.means
+    buffers = (
+        tables[:rows], tables[rows : 2 * rows], np.ones(max(n, rows)), np.empty(rows - 1), np.empty(n)
+    )
+    tol = _CLASS_RTOL * float(degrees.max())
+    a, b = start.alpha, start.beta
+    try:
+        table = _row_table(family, centres[0], floors[0], a, b, buffers)
+        for sweeps in range(1, _SWEEP_ITER + 1):
+            a = _solve_rows(family, table, targets[0], centres[0], a, b)
+            table = _row_table(family, centres[1], floors[1], b, a, buffers)
+            b = _solve_rows(family, table, targets[1], centres[1], b, a)
+            a, b = a + b[-1], b - b[-1]
+            if sweeps == _SWEEP_ITER:
+                break
+            table = _row_table(family, centres[0], floors[0], a, b, buffers)
+            if table.G is not None and _row_residual(family, table, a, targets[0]) <= tol:
+                break
+        swept = ParamVector(a, b, negated=family.negated)
+        validate_params(swept, family)
+    except InvalidParameterError:
+        return default_start(g, family), 0
+    return swept, sweeps
 
 
 # ---------------------------------------------------------------------------
@@ -494,25 +739,36 @@ def newton_fit(
     # It is allocated before anything else so that the C allocator hands it
     # the space the previous fit's buffers freed, before small arrays that
     # outlive the fit split that space up.
+    # Below the gate the block of means also holds the sweeps' two tables.
     if n < _CLASS_GATE:
-        work = _Workspace(n, family)
+        work = _Workspace(n, family, nodes=2 * _SWEEP_NODES + 1)
     else:
         work = _Workspace(n, family, variance="block", nodes=_MAX_NODES)
-    theta = default_start(g, family) if theta0 is None else theta0
+    # A default fit starts from the closed form; past the screen, from
+    # _SWEEP_GATE on the vertex sweeps refine that start and from
+    # _CLASS_GATE on the class stage does (the closed form again if either
+    # fails).  A given theta0 is where the fit starts.
+    screen = existence_check(g, family)
+    start, sweeps = "closed_form", 0
+    if theta0 is not None:
+        theta, start = theta0, "given"
+    elif screen is Feasibility.FEASIBLE and _SWEEP_GATE <= n < _CLASS_GATE:
+        theta, sweeps = _sweep_start(g, family, work)
+        start = "sweeps" if sweeps else start
+    else:
+        theta = default_start(g, family)
     validate_params(theta, family)
     if not theta.is_normalized:
         raise InvalidParameterError("starting point must have beta[-1] == 0")
     tol_residual = cfg.tol_residual if cfg.tol_residual is not None else 1e-10 * (n - 1)
 
-    screen = existence_check(g, family)
     if screen is not Feasibility.FEASIBLE:
         resid = float(np.abs(moment_residual(theta, g, family)).max())
-        return FitResult(theta, False, Existence.NON_EXISTENT, 0, resid, ())
-    # A default fit starts from the closed form; past the screen, from the
-    # gate on, the class stage refines that start (the closed form again if
-    # the stage fails).  A given theta0 is where the fit starts.
+        return FitResult(theta, False, Existence.NON_EXISTENT, 0, resid, (), start)
     if theta0 is None and n >= _CLASS_GATE:
-        theta = _class_start(g, family, theta)
+        refined = _class_start(g, family, theta)
+        start = "class" if refined is not theta else start
+        theta = refined
 
     sign = -1.0 if family.negated else 1.0
     trace: list[tuple[float, float]] = []
@@ -575,7 +831,9 @@ def newton_fit(
     else:
         existence = Existence.UNDETERMINED
     converged = existence is Existence.EXISTS  # tolerance met with |theta| inside the bound
-    return FitResult(theta, converged, existence, iterations, resid_norm, tuple(trace))
+    return FitResult(
+        theta, converged, existence, iterations, resid_norm, tuple(trace), start, sweeps
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bidegree.solver
 from bidegree.cli import (
     EXIT_NONEXISTENT,
     EXIT_OK,
@@ -142,6 +143,17 @@ class TestFitCommand:
         assert max(beta) - min(beta) < 1e-8
         assert abs(alpha[0]) < 1e-8  # the flat solution is exactly zero
         assert beta[-1] == 0.0
+
+    def test_report_says_where_the_fit_started(self, tmp_path, capsys):
+        # below the sweep gate from the closed form, from the gate on from the sweeps
+        for n, start in ((30, "closed_form"), (bidegree.solver._SWEEP_GATE, "sweeps")):
+            graph = sample_graph(design_params(SimDesign(BINARY, n, 0.8)), BINARY, 5)
+            path = tmp_path / f"g{n}.csv"
+            with open(path, "w") as fh:
+                write_edge_list(graph, fh)
+            assert main(["fit", str(path), "--family", "binary", "--n", str(n)]) == EXIT_OK
+            report = json.loads(capsys.readouterr().out)
+            assert report["existence"] == "exists" and report["start"] == start
 
     def test_saturated_row_exits_two(self, tmp_path, capsys):
         path = tmp_path / "tournament.csv"

@@ -21,8 +21,9 @@ and it sums the margins of each row block while the block is in cache.  So a
 family kernel (a ``.moments(`` or ``.pair_moments(`` call, or a call of a
 ``_<family>_moments`` function) runs only inside that pass, the per-edge
 helper ``edge_moments``, the finite inverse mean, and
-``fisher._low_rank_cross``, which evaluates the variances at its
-interpolation nodes once per Newton step, not per trial.  No
+``model._node_table``, which evaluates the moments at the Chebyshev nodes
+of an interpolant in one effect: once per Newton step for the low-rank
+Fisher operator, not per trial, and once per half-sweep of a start.  No
 code takes the margins of an n x n array outside the pass's
 ``_add_margins``: no ``_margins`` helper, no mat-vec with a ones vector and
 no axis sum, except ``bi_degrees``, which sums the observed weights.
@@ -51,7 +52,7 @@ KERNEL_ALLOWED = {
     ("model.py", "_pair_moments"),
     ("model.py", "edge_moments"),
     ("model.py", "_finite_inverse_mean"),
-    ("fisher.py", "_low_rank_cross"),
+    ("model.py", "_node_table"),
 }
 MARGIN_ALLOWED = {("model.py", "_add_margins"), ("model.py", "bi_degrees")}
 BLOCKING_NAMES = ("_BLOCK_EDGES", "_CACHE_EDGES", "_block_rows")

@@ -28,7 +28,6 @@ def run_script(name, *args):
 @pytest.mark.parametrize(
     "name, args, header",
     [
-        ("inverse_accuracy_sweep.py", ["--n", "10", "20"], "n,max_abs_err,bound_shape,fitted_c1"),
         (
             "coverage_table.py",
             ["--families", "binary", "--n", "20", "--replications", "5"],
@@ -38,8 +37,8 @@ def run_script(name, *args):
             "start_sweep.py",
             ["--families", "binary", "geometric", "--n", "20", "--graphs", "2", "--repeats", "1",
              "--classes", "4"],
-            "family,n,L_rule,graphs,closed_form_iterations,class_iterations,"
-            "closed_form_ms,class_ms,verdicts_differ",
+            "family,n,L_rule,graphs,closed_form_iterations,class_iterations,swept_iterations,"
+            "closed_form_ms,class_ms,swept_ms,verdicts_differ",
         ),
     ],
 )
