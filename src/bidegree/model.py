@@ -629,10 +629,11 @@ class _Workspace:
     ``newton_fit`` makes one per fit and hands it to :func:`moment_residual`
     and :func:`bidegree.fisher.fisher_info` as ``work``; the accepted trial's
     pass is then the next Fisher matrix.  Below ``solver._CLASS_GATE`` it
-    keeps the variances whole, which the step solve reads.  From the gate on
-    it keeps them as a block too, and ``nodes`` is the most Chebyshev nodes
-    of the low-rank Fisher operator that ``fisher_info`` builds in the two
-    blocks between passes, so each block holds at least ``nodes + 1`` rows.
+    keeps the variances whole, which the step solve reads, and the block of
+    means holds the node tables of the start's vertex sweeps before the
+    first pass.  From the gate on it keeps the variances as a block too, and
+    the low-rank Fisher operator that ``fisher_info`` builds lives in the two
+    blocks between passes.  Each block holds at least ``nodes + 1`` rows.
     Nothing a public function returns points into a fit's workspace.
     """
 
@@ -676,9 +677,8 @@ class _Moments(NamedTuple):
 
 def _add_margins(block: np.ndarray, rows: slice, row_sums, col_sums, ones, spare) -> None:
     """Add a row block's row and column sums into the margins, as mat-vecs
-    with a ones vector, at least as long as the block is high and wide,
-    while the block is in cache."""
-    np.dot(block, ones[: block.shape[1]], out=row_sums[rows])
+    with a ones vector while the block is in cache."""
+    np.dot(block, ones, out=row_sums[rows])
     if rows.start == 0:
         np.dot(ones[: len(block)], block, out=col_sums)
     else:

@@ -21,21 +21,32 @@ a whole matrix made for it.  Step damping for the positive-rate families
 reads no n x n array: it finds the smallest pair sum in O(n), once for the
 full step and once per step of Dinkelbach's iteration when it has to cut it.
 
-A default fit (no ``theta0``) of n >= ``_CLASS_GATE`` vertices that passes
-the existence screen starts from its degree-class model rather than the
-closed-form ``default_start``.  The likelihood equations make each fitted
-effect a monotone function of its own degree, so the model with effects
-constant on six quantile classes of out-degree and six of in-degree already
-fixes the MLE closely.  That 11-parameter model is solved by sweeps that
-solve each side's class equations against the other side's effects (the
-fixed-point idea of Chatterjee, Diaconis & Sly 2011), then interpolated
-back to the vertices in degree; the vertices outside the classes' mean
-degrees get an exact solve of their own equation, by the same row solver.
-Fits then start inside Newton's quadratic range (binary n=1000 fits take 4
-edge passes instead of 6).  The stage costs O(n log n) and reads no n x n
-array; on any failure the fit starts from ``default_start``.  Smaller fits,
-where the stage costs more than the iterations it saves, and fits given a
-``theta0`` start where they did.
+A default fit (no ``theta0``) that passes the existence screen refines the
+closed-form ``default_start`` before Newton.  The likelihood equations make
+each fitted effect a monotone function of its own degree, and for the other
+side's effects fixed they are one equation in one unknown per vertex, so
+sweeps that solve each side's equations against the other side's effects
+(the fixed-point idea of Chatterjee, Diaconis & Sly 2011) approach the MLE.
+
+From ``_SWEEP_GATE`` to below ``_CLASS_GATE`` the sweeps run at vertex
+resolution.  Against effects o of the other side every row's equation
+reads one function, ``G(x) = sum_j mu(x + o_j)`` less the row's own
+diagonal term, so a half-sweep tabulates G at 16 Chebyshev nodes with one
+kernel call (the node table of the low-rank Fisher operator), reads it on a
+fixed grid, and solves every row at once by inverting that monotone table,
+in O(n m).  Three sweeps bring geometric n=200 fits from 8 Newton
+iterations to 3.  From ``_CLASS_GATE`` on the start is the degree-class
+model instead: the model with effects constant on six quantile classes of
+out-degree and six of in-degree already fixes the MLE closely.  That
+11-parameter model is solved by sweeps of a bracketed-Newton row solver,
+then interpolated back to the vertices in degree; the vertices outside the
+classes' mean degrees get an exact solve of their own equation, by the same
+row solver.  Fits then start inside Newton's quadratic range (binary n=1000
+fits take 4 edge passes instead of 6).  The stage costs O(n log n) and reads
+no n x n array.  On any failure of either refinement the fit starts from
+``default_start``.  Smaller fits, where the sweeps cost more than the
+iterations they save, and fits given a ``theta0`` start where they did.
+``FitResult.start`` says which start a fit took.
 
 The MLE exists iff the observed bi-degree sequence lies in the interior of
 the mean polytope, and is then unique.  Interior membership has no practical
@@ -217,7 +228,13 @@ _ROW_TOL = 1e-4
 
 # The vertex sweeps of a default fit below the class gate: the smallest n
 # they run at, their budget, the Chebyshev nodes of a row table and the
-# points of its fixed grid.
+# points of its fixed grid, with the read-only barycentric matrix that reads
+# G there.  The gate is the smallest n from which fits from the swept start
+# were faster than fits from the closed form for every family and ramp rule
+# in ``scripts/start_sweep.py``.  A fourth sweep saved 0.4 iterations more on
+# geometric n=200 sqrtlog fits but cost more than it saved; a grid of 1025
+# points saved 0.4 iterations there over one of 129, for 0.05 ms.  The sweeps
+# stop on the class model's relative tolerance, ``_CLASS_RTOL``.
 _SWEEP_GATE = 150
 _SWEEP_ITER = 3
 _SWEEP_NODES = 16
@@ -356,7 +373,10 @@ def _row_table(
             raise InvalidParameterError("no row's bracket lies above the pole")
         bottom, top = math.log(bottom), math.log(float(hi.max()) + low)
     _node_table(family, bottom, top, m, other, sums, values)
-    _add_margins(sums[:m], slice(0, m), nodes, spare, ones, spare)
+    if other.size >= m:
+        _add_margins(sums[:m], slice(0, m), nodes, spare, ones, spare)
+    else:  # a table wider than the graph: its row sums are its transpose's column sums
+        _add_margins(sums[:m].T, slice(0, other.size), spare, nodes, ones, spare)
     G, Gk = _GRID_WEIGHTS @ nodes, _GRID_WEIGHTS @ (nodes - sums[:m, k])
     later, earlier = (Gk[:-1], Gk[1:]) if family.negated else (Gk[1:], Gk[:-1])
     monotone = np.all(later > earlier)
@@ -471,7 +491,8 @@ def _sweep_start(
     rows = _SWEEP_NODES + 1
     tables = np.empty((2 * rows, n)) if work is None else work.means
     buffers = (
-        tables[:rows], tables[rows : 2 * rows], np.ones(max(n, rows)), np.empty(rows - 1), np.empty(n)
+        tables[:rows], tables[rows : 2 * rows], np.ones(max(n, _SWEEP_NODES)),
+        np.empty(_SWEEP_NODES), np.empty(n),
     )
     tol = _CLASS_RTOL * float(degrees.max())
     a, b = start.alpha, start.beta
@@ -739,7 +760,8 @@ def newton_fit(
     # It is allocated before anything else so that the C allocator hands it
     # the space the previous fit's buffers freed, before small arrays that
     # outlive the fit split that space up.
-    # Below the gate the block of means also holds the sweeps' two tables.
+    # Below the gate the block of means also holds the sweeps' two node
+    # tables of _SWEEP_NODES + 1 rows.
     if n < _CLASS_GATE:
         work = _Workspace(n, family, nodes=2 * _SWEEP_NODES + 1)
     else:
