@@ -15,11 +15,13 @@ per side in place of ``solver._CLASSES``.
 
 The gates are set from these rows.  ``solver._CLASS_GATE`` keeps a margin
 above the n from which the class start's fits are faster on every family.
-``solver._SWEEP_GATE`` is the smallest n from which the swept start's fits
-were faster than the closed form's on every family and rule tried (zero,
-loglog, sqrtlog): at n = 100 binary and ``finite:4`` fits of the zero rule,
-whose closed-form fits take only 3-4 iterations, were slower with sweeps;
-from n = 150 on no cell was.
+``solver._SWEEP_GATE`` is the smallest n tried (100, 120, 150, 200, 300)
+from which the swept start's fits were faster than the closed form's on
+the loglog and sqrtlog designs of every family, and broke even on the zero
+rule's, whose closed-form fits take only 4-5 iterations: at n = 150 they
+took 0.63-0.98 of the closed form's time on the ramped designs and
+0.75-1.1 on the zero rule's, and at n = 100-120 binary zero-rule fits took
+1.2-1.3.
 
 Example:
     python scripts/start_sweep.py --families binary finite:4 geometric exponential \

@@ -229,12 +229,17 @@ _ROW_TOL = 1e-4
 # The vertex sweeps of a default fit below the class gate: the smallest n
 # they run at, their budget, the Chebyshev nodes of a row table and the
 # points of its fixed grid, with the read-only barycentric matrix that reads
-# G there.  The gate is the smallest n from which fits from the swept start
-# were faster than fits from the closed form for every family and ramp rule
-# in ``scripts/start_sweep.py``.  A fourth sweep saved 0.4 iterations more on
-# geometric n=200 sqrtlog fits but cost more than it saved; a grid of 1025
-# points saved 0.4 iterations there over one of 129, for 0.05 ms.  The sweeps
-# stop on the class model's relative tolerance, ``_CLASS_RTOL``.
+# G there.  The gate is set from ``scripts/start_sweep.py``: from n = 150 on,
+# fits from the swept start took 0.63-0.98 of the time of fits from the
+# closed form on the loglog and sqrtlog designs of every family, and the
+# zero-rule designs, whose closed-form fits take only 4-5 iterations, broke
+# even (0.75-1.1); at n = 100-120 binary zero-rule fits took 1.2-1.3.  A
+# fourth sweep saved 0.4 iterations more on geometric n=200 sqrtlog fits but
+# cost more than it saved.  A grid of 1025 points took binary and finite:4
+# n=200 loglog fits to 2 iterations where one of 129 or 257 left 3, for
+# about 0.1 ms more per start.  The sweeps stop on the class model's
+# relative tolerance, ``_CLASS_RTOL``: 1e-3 gave the same fits, and 1e-2
+# stopped the rate families' sweeps early and cost them an iteration.
 _SWEEP_GATE = 150
 _SWEEP_ITER = 3
 _SWEEP_NODES = 16
@@ -412,8 +417,7 @@ def _solve_rows(
     reads its own table, which leaves the term out.  Rows off the table,
     rows whose diagonal term does not settle, rows that land outside their
     brackets, and all rows when the table is not monotone are solved by
-    :func:`_row_effects` against their whole row; every row ends inside its
-    bracket."""
+    :func:`_row_effects` against their whole row, inside its bracket."""
     n = x.size
     if table.G is None:
         out, off = x.copy(), np.arange(n)
@@ -437,7 +441,7 @@ def _solve_rows(
         out[off] = _row_effects(
             family, targets[off], centres[off], x[off], rest, np.ones(rest.shape)
         )
-    return np.clip(out, table.lo, table.hi, out=out)
+    return out
 
 
 def _row_residual(

@@ -822,6 +822,24 @@ class TestSweepStart:
         elif off:
             assert fallback and fallback[0] >= 1
 
+    @pytest.mark.parametrize("family", [EXPONENTIAL, GEOMETRIC], ids=lambda f: f.label)
+    def test_rows_whose_diagonal_term_does_not_settle(self, family):
+        # Starts up to 0.5 below the roots, cut at pair sums of 1e-3, put
+        # some rows' diagonal pair sums near the pole, where the diagonal
+        # term moves the row too far for its slope to settle it in two
+        # solves; unguarded, such rows kept residuals of 0.43-0.48.
+        rng = np.random.default_rng(76)
+        n = int(rng.integers(20, 40))
+        other = rng.uniform(-1, 1) + 0.5 * rng.random(n)
+        low = np.sort(other)[:2]
+        own = np.where(np.arange(n) == np.argmin(other), low[1], low[0])
+        root = np.exp(rng.uniform(math.log(1e-3), math.log(3.0), n)) - own
+        start = np.maximum(root + rng.uniform(-0.5, 0.5, n), 1e-3 - other.min())
+        targets = row_sums_without_diagonal(family, root, other)
+        x, _, _ = half_sweep(family, targets, start, other)
+        residual = np.abs(row_sums_without_diagonal(family, x, other) - targets) / targets
+        assert residual.max() <= HALF_SWEEP_RTOL
+
     @given(class_stage_cases())
     @settings(max_examples=150, deadline=None)
     def test_start_is_valid_or_the_closed_form(self, case):
