@@ -311,8 +311,9 @@ class _RowTable(NamedTuple):
     interpolation variable (increasing), or None where it is not strictly
     monotone, with the shift of the rate families' ``x = exp(y) - shift``;
     the edge mean and variance of each row's own diagonal pair sum at the
-    effects the table was made for; and the row ``k`` whose diagonal term
-    is its largest, with ``Gk``, G less that term."""
+    effects the table was made for (views of the buffers the next table
+    overwrites); and the row ``k`` whose diagonal term is its largest, with
+    ``Gk``, G less that term."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -383,12 +384,10 @@ def _row_table(
     else:  # a table wider than the graph: its row sums are its transpose's column sums
         _add_margins(sums[:m].T, slice(0, other.size), spare, nodes, ones, spare)
     G, Gk = _GRID_WEIGHTS @ nodes, _GRID_WEIGHTS @ (nodes - sums[:m, k])
-    later, earlier = (Gk[:-1], Gk[1:]) if family.negated else (Gk[1:], Gk[:-1])
-    monotone = np.all(later > earlier)
-    later, earlier = (G[:-1], G[1:]) if family.negated else (G[1:], G[:-1])
+    sign = -1.0 if family.negated else 1.0
+    monotone = np.all(sign * np.diff(G) > 0.0) and np.all(sign * np.diff(Gk) > 0.0)
     y = 0.5 * (bottom + top) + 0.5 * (top - bottom) * _GRID
-    G = G if monotone and np.all(later > earlier) else None
-    return _RowTable(lo, hi, y, G, low, sums[m], values[m], k, Gk)
+    return _RowTable(lo, hi, y, G if monotone else None, low, sums[m], values[m], k, Gk)
 
 
 def _invert(family: WeightFamily, table: _RowTable, level, G, y) -> np.ndarray:
@@ -763,9 +762,9 @@ def newton_fit(
     # the Fisher build makes its low-rank cross block in the same buffers.
     # It is allocated before anything else so that the C allocator hands it
     # the space the previous fit's buffers freed, before small arrays that
-    # outlive the fit split that space up.
-    # Below the gate the block of means also holds the sweeps' two node
-    # tables of _SWEEP_NODES + 1 rows.
+    # outlive the fit split that space up.  Below the gate its block of
+    # means first holds the start's two node tables, of _SWEEP_NODES + 1
+    # rows each.
     if n < _CLASS_GATE:
         work = _Workspace(n, family, nodes=2 * _SWEEP_NODES + 1)
     else:
