@@ -35,15 +35,16 @@ diagonal term, so a half-sweep tabulates G at 16 Chebyshev nodes with one
 kernel call (the node table of the low-rank Fisher operator), reads it on a
 fixed grid, and solves every row at once by inverting that monotone table,
 in O(n m).  Three sweeps bring geometric n=200 fits from 8 Newton
-iterations to 3.  From ``_CLASS_GATE`` on the start is the degree-class
-model instead: the model with effects constant on six quantile classes of
-out-degree and six of in-degree already fixes the MLE closely.  That
-11-parameter model is solved by sweeps of a bracketed-Newton row solver,
-then interpolated back to the vertices in degree; the vertices outside the
-classes' mean degrees get an exact solve of their own equation, by the same
-row solver.  Fits then start inside Newton's quadratic range (binary n=1000
-fits take 4 edge passes instead of 6).  The stage costs O(n log n) and reads
-no n x n array.  On any failure of either refinement the fit starts from
+iterations to 3, and the fit then takes exact steps in either step mode.
+From ``_CLASS_GATE`` on the start is the degree-class model instead: the
+model with effects constant on six quantile classes of out-degree and six
+of in-degree already fixes the MLE closely.  That 11-parameter model is
+solved by sweeps of a bracketed-Newton row solver, then interpolated back
+to the vertices in degree; the vertices outside the classes' mean degrees
+get an exact solve of their own equation, by the same row solver.  Fits
+then start inside Newton's quadratic range (binary n=1000 fits take 4 edge
+passes instead of 6).  The stage costs O(n log n) and reads no n x n
+array.  On any failure of either refinement the fit starts from
 ``default_start``.  Smaller fits, where the sweeps cost more than the
 iterations they save, and fits given a ``theta0`` start where they did.
 ``FitResult.start`` says which start a fit took.
@@ -135,7 +136,8 @@ class FitConfig:
     "sapprox" (relaxed approximate inverse steps, O(n) each after the
     O(n^2) edge pass, until the residual meets the tolerance or is above half
     its value two steps earlier; exact steps from then on, in the same loop
-    and under the same budget).
+    and under the same budget).  A fit that starts from the vertex sweeps
+    takes exact steps in either mode.
     """
 
     step_mode: str = "exact"
@@ -807,7 +809,10 @@ def newton_fit(
     # once the residual meets the tolerance or exceeds half its value two
     # steps back (the approximate step is not monotone in the inf-norm, so one
     # step back is too short).  Only an exact step ends a fit on a tolerance.
-    exact = cfg.step_mode == "exact"
+    # A swept start lies inside Newton's quadratic range, where approximate
+    # steps would only creep, about halving the residual per step, so a fit
+    # from it takes exact steps in either mode.
+    exact = cfg.step_mode == "exact" or start == "sweeps"
     for iterations in range(1, cfg.max_iter + 1):
         residuals.append(resid_norm)
         if not math.isfinite(resid_norm) or (exact and resid_norm <= tol_residual):
