@@ -357,8 +357,9 @@ def _row_table(
     alone may lie outside the family's domain.
     """
     m = _SWEEP_NODES
-    k_low, k_high = int(np.argmin(other)), int(np.argmax(other))
-    ends = np.partition(other, (1, other.size - 2))
+    order = np.argpartition(other, (1, other.size - 2))
+    k_low, k_high = int(order[0]), int(order[-1])
+    ends = other[order[[0, 1, -2, -1]]]
     low, high = float(ends[0]), float(ends[-1])
     lo, hi = centres - high, centres - low
     lo[k_high] = centres[k_high] - ends[-2]
@@ -382,12 +383,14 @@ def _row_table(
         bottom, top = math.log(bottom), math.log(float(hi.max()) + low)
     _node_table(family, bottom, top, m, other, sums, values)
     if other.size >= m:
-        _add_margins(sums[:m], slice(0, m), nodes, spare, ones, spare)
+        _add_margins(sums[:m], slice(0, m), nodes[0], spare, ones, spare)
     else:  # a table wider than the graph: its row sums are its transpose's column sums
-        _add_margins(sums[:m].T, slice(0, other.size), spare, nodes, ones, spare)
-    G, Gk = _GRID_WEIGHTS @ nodes, _GRID_WEIGHTS @ (nodes - sums[:m, k])
-    sign = -1.0 if family.negated else 1.0
-    monotone = np.all(sign * np.diff(G) > 0.0) and np.all(sign * np.diff(Gk) > 0.0)
+        _add_margins(sums[:m].T, slice(0, other.size), spare, nodes[0], ones, spare)
+    np.subtract(nodes[0], sums[:m, k], out=nodes[1])  # less row k's diagonal column
+    grid = nodes @ _GRID_WEIGHTS.T
+    G, Gk = grid
+    step = np.diff(grid)
+    monotone = np.all(step < 0.0) if family.negated else np.all(step > 0.0)
     y = 0.5 * (bottom + top) + 0.5 * (top - bottom) * _GRID
     return _RowTable(lo, hi, y, G if monotone else None, low, sums[m], values[m], k, Gk)
 
@@ -497,7 +500,7 @@ def _sweep_start(
     tables = np.empty((2 * rows, n)) if work is None else work.means
     buffers = (
         tables[:rows], tables[rows : 2 * rows], np.ones(max(n, _SWEEP_NODES)),
-        np.empty(_SWEEP_NODES), np.empty(n),
+        np.empty((2, _SWEEP_NODES)), np.empty(n),
     )
     tol = _CLASS_RTOL * float(degrees.max())
     a, b = start.alpha, start.beta

@@ -772,8 +772,8 @@ def half_sweep(family, targets, start, other, monotone=True):
     floors = inverse_mean(family, targets) if family.positive_pair_sums else None
     rows = bidegree.solver._SWEEP_NODES + 1
     buffers = (
-        np.empty((rows, n)), np.empty((rows, n)), np.ones(max(n, rows - 1)), np.empty(rows - 1),
-        np.empty(n),
+        np.empty((rows, n)), np.empty((rows, n)), np.ones(max(n, rows - 1)),
+        np.empty((2, rows - 1)), np.empty(n),
     )
     table = bidegree.solver._row_table(family, centres, floors, start, other, buffers)
     if not monotone:
