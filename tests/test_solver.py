@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -797,18 +798,11 @@ class TestSweepStart:
     @settings(max_examples=150, deadline=None)
     def test_half_sweep_rows_stay_in_their_brackets(self, case):
         family, targets, start, other, off, monotone = case
-        fallback = []
-
-        def counted(*args):
-            fallback.append(len(args[1]))
-            return row_effects(*args)
-
-        row_effects = bidegree.solver._row_effects
-        bidegree.solver._row_effects = counted
-        try:
+        with mock.patch.object(
+            bidegree.solver, "_row_effects", wraps=bidegree.solver._row_effects
+        ) as row_effects:
             x, centres, table = half_sweep(family, targets, start, other, monotone)
-        finally:
-            bidegree.solver._row_effects = row_effects
+        fallback = [len(call.args[1]) for call in row_effects.call_args_list]
         n = x.size
         keep = ~np.eye(n, dtype=bool)
         for i in range(n):
